@@ -78,8 +78,8 @@ struct Ctx {
     div: usize,
     hours: usize,
     seed: u64,
-    /// DES shard count (`--shards`) for multi-segment topologies;
-    /// 1 = the legacy sequential fabric, output byte-identical either way.
+    /// DES shard count (`--shards`) every compiled topology is split
+    /// into (clamped to its node count); output byte-identical at any.
     shards: usize,
     metrics_out: Option<String>,
     /// Injected run date (`--date`) recorded in the bench history; kept
@@ -419,8 +419,8 @@ fn main() {
                      sets: all (default) = every figure/table of the paper; all-extras = phases ablate-switch ablate-route ablate-p summary\n\
                      --seed N sets the simulation seed (default 1998); same seed, byte-identical output\n\
                      --jobs N fans independent runs across N workers (0 = all CPUs); output is byte-identical to --jobs 1\n\
-                     --shards N partitions multi-segment topologies across N DES shards (default 1 = the legacy\n\
-                     \u{20}                 sequential loop); output is byte-identical to --shards 1 at any count\n\
+                     --shards N partitions every compiled topology across up to N DES shards (default 1; one-node\n\
+                     \u{20}                 bus and switch always run one); output is byte-identical to --shards 1 at any count\n\
                      --trace-format F caches prewarmed traces under out/cache as `binary` (.fxb, default) or `text` (.trace)\n\
                      --metrics-out DIR directs the watch/blame/fabric-health artifacts (default: the --out dir)\n\
                      \u{20}                 and writes a Prometheus snapshot repro_<exp>.prom per selected experiment\n\
@@ -1746,8 +1746,9 @@ fn fabric_sweep(c: &mut Ctx) {
         topo_ids.join(", "),
     );
 
-    // The legacy shared-bus trace per program: the paper path the
-    // single-segment 10 Mb/s cell must reproduce byte for byte.
+    // The shared-bus (`LinkKind::SharedBus`) trace per program: the
+    // paper path the single-segment 10 Mb/s cell must reproduce byte
+    // for byte.
     let baselines = c.pool.map(SweepProg::ALL.to_vec(), move |p| {
         p.run(seed, div, None, shards).trace
     });
@@ -2122,126 +2123,6 @@ fn bench_repro(c: &mut Ctx) {
         "binary load must clear 3x the text parser (got {io_speedup:.2}x)"
     );
 
-    // Shard leg: the partitioned DES core in threaded drain mode on the
-    // two multi-switch sweep fabrics, one worker per shard under the
-    // null-message protocol. The offered load is mostly shard-local
-    // (a trickle of trunk crossings keeps the cut channels honest) and
-    // is fixed by the clamped partition up front, so the 1-shard and
-    // n-shard runs drain the identical frame list — which also lets the
-    // leg re-assert the headline invariant: merged deliveries identical.
-    use fxnet::sim::{EtherConfig, Frame, FrameKind, HostId, NicId};
-    let shard_hosts = 8u32;
-    let shard_frames = 60_000u32;
-    let requested_shards = 4usize;
-    let shard_fabrics = [
-        (
-            "trunk2",
-            fxnet::TopologySpec::two_switches_trunk(shard_hosts, fxnet::sim::RATE_10M),
-        ),
-        (
-            "tree2",
-            fxnet::TopologySpec::two_level_tree(shard_hosts, fxnet::sim::RATE_10M),
-        ),
-    ];
-    println!(
-        "shard drain: {shard_frames} frames x 2 fabrics, 1 shard vs {requested_shards} requested (best of 3) ..."
-    );
-    let shard_enforce = avail >= 4;
-    let mut shard_min_speedup = f64::INFINITY;
-    let mut shard_legs: Vec<(String, Value)> = Vec::new();
-    for (fabric_name, spec) in &shard_fabrics {
-        let ether = EtherConfig::default();
-        let probe = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, seed, requested_shards);
-        let clamped = probe.shard_count();
-        let shard_of = probe.partition().host_shard.clone();
-        let mut load: Vec<(NicId, Frame, SimTime)> = Vec::new();
-        for i in 0..shard_frames {
-            let src = i % shard_hosts;
-            let dst = if i % 16 == 0 {
-                // Cross the cut: the far block's mirror host.
-                let d = (src + shard_hosts / 2) % shard_hosts;
-                if d == src {
-                    (d + 1) % shard_hosts
-                } else {
-                    d
-                }
-            } else {
-                // Nearest neighbor inside the same shard block.
-                let mut d = (src + 1) % shard_hosts;
-                while d == src || shard_of[d as usize] != shard_of[src as usize] {
-                    d = (d + 1) % shard_hosts;
-                }
-                d
-            };
-            let f = Frame::tcp(
-                HostId(src),
-                HostId(dst),
-                FrameKind::Data,
-                200 + (i * 97) % 1200,
-                u64::from(i) + 1,
-            );
-            let t = SimTime::from_micros(u64::from(i / shard_hosts) * 700);
-            load.push((NicId(src), f, t));
-        }
-        let drain_run = |n: usize| {
-            let mut fab = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, seed, n);
-            for (nic, f, t) in &load {
-                fab.enqueue(*nic, *f, *t);
-            }
-            fab.drain_parallel()
-        };
-        let (base, t_base) = best_of3(|| drain_run(1));
-        let (sharded, t_shard) = best_of3(|| drain_run(clamped));
-        assert_eq!(
-            sharded.violations, 0,
-            "{fabric_name}: the lookahead must never admit a late frame"
-        );
-        assert_eq!(
-            base.deliveries.len(),
-            sharded.deliveries.len(),
-            "{fabric_name}: drain modes must agree on delivery count"
-        );
-        for (a, b) in base.deliveries.iter().zip(&sharded.deliveries) {
-            assert_eq!(a.time, b.time, "{fabric_name}: delivery order diverged");
-            assert_eq!(a.frame, b.frame, "{fabric_name}: delivery order diverged");
-        }
-        let base_eps = base.events as f64 / t_base;
-        let shard_eps = sharded.events as f64 / t_shard;
-        let ratio = shard_eps / base_eps;
-        shard_min_speedup = shard_min_speedup.min(ratio);
-        println!(
-            "shard drain {fabric_name}: 1 shard {:.2}M events/s, {clamped} shards {:.2}M events/s  ({ratio:.2}x), {} deliveries identical",
-            base_eps / 1e6,
-            shard_eps / 1e6,
-            base.deliveries.len()
-        );
-        shard_legs.push((
-            (*fabric_name).to_string(),
-            Value::Object(vec![
-                ("shards".to_string(), Value::U64(clamped as u64)),
-                ("frames".to_string(), Value::U64(u64::from(shard_frames))),
-                ("events".to_string(), Value::U64(sharded.events)),
-                ("base_events_per_sec".to_string(), Value::F64(base_eps)),
-                ("sharded_events_per_sec".to_string(), Value::F64(shard_eps)),
-                ("speedup".to_string(), Value::F64(ratio)),
-                ("violations".to_string(), Value::U64(sharded.violations)),
-                ("null_rounds".to_string(), Value::U64(sharded.null_rounds)),
-                ("deliveries_identical".to_string(), Value::Bool(true)),
-            ]),
-        ));
-    }
-    if shard_enforce {
-        assert!(
-            shard_min_speedup >= 1.3,
-            "sharded drain must clear 1.3x the sequential loop on >= 4 CPUs (got {shard_min_speedup:.2}x)"
-        );
-    } else {
-        println!(
-            "(shard speedup floor 1.3x enforced only on >= 4 CPUs; here cpus={avail}, measured {shard_min_speedup:.2}x)"
-        );
-        println!("floor not enforced ({avail} cores)");
-    }
-
     let report = Value::Object(vec![
         ("jobs".to_string(), Value::U64(jobs as u64)),
         (
@@ -2304,19 +2185,6 @@ fn bench_repro(c: &mut Ctx) {
             ]),
         ),
         (
-            "shard_bench".to_string(),
-            Value::Object(vec![
-                (
-                    "requested_shards".to_string(),
-                    Value::U64(requested_shards as u64),
-                ),
-                ("speedup_floor".to_string(), Value::F64(1.3)),
-                ("speedup_enforced".to_string(), Value::Bool(shard_enforce)),
-                ("min_speedup".to_string(), Value::F64(shard_min_speedup)),
-                ("fabrics".to_string(), Value::Object(shard_legs)),
-            ]),
-        ),
-        (
             "queue".to_string(),
             Value::Object(vec![
                 ("ops".to_string(), Value::U64(qb.ops)),
@@ -2363,10 +2231,6 @@ fn bench_repro(c: &mut Ctx) {
         ("suite_speedup".to_string(), Value::F64(speedup)),
         ("analysis_speedup".to_string(), Value::F64(col_speedup)),
         ("io_load_speedup".to_string(), Value::F64(io_speedup)),
-        (
-            "shard_drain_speedup".to_string(),
-            Value::F64(shard_min_speedup),
-        ),
     ]);
     let history = c.exps.out_path("bench_history.jsonl");
     let appended = fxnet_bench::append_history_line(&history, &serde::json::to_string(&line))
@@ -2418,7 +2282,7 @@ fn analysis_scale(c: &mut Ctx) {
     let spec = fxnet::TopologySpec::two_switches_trunk(SCALE_HOSTS, fxnet::sim::RATE_10M);
     let ether = EtherConfig::default();
     let requested_shards = c.shards.max(2);
-    let probe = fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, requested_shards);
+    let probe = fxnet::topo::ShardedFabric::new(spec.clone(), &ether, c.seed, requested_shards);
     let shards = probe.shard_count();
     let shard_of = probe.partition().host_shard.clone();
     let group_period_us = u64::from(SCALE_ROUNDS_PER_GROUP) * SCALE_ROUND_US + SCALE_GAP_US;
@@ -2438,7 +2302,7 @@ fn analysis_scale(c: &mut Ctx) {
         while w.frames() < frames_target {
             let offset_ns = wave * wave_period_ns;
             let mut fab =
-                fxnet::shard::ShardedFabric::new(spec.clone(), &ether, c.seed, requested_shards);
+                fxnet::topo::ShardedFabric::new(spec.clone(), &ether, c.seed, requested_shards);
             for i in 0..(SCALE_ROUNDS_PER_WAVE * SCALE_HOSTS) {
                 let src = i % SCALE_HOSTS;
                 let dst = if i % 16 == 0 {
@@ -2469,10 +2333,9 @@ fn analysis_scale(c: &mut Ctx) {
                     + (round % u64::from(SCALE_ROUNDS_PER_GROUP)) * SCALE_ROUND_US;
                 fab.enqueue(NicId(src), f, SimTime::from_micros(t_us));
             }
-            let res = fab.drain_parallel();
-            assert_eq!(res.violations, 0, "synthesis drain admitted a late frame");
-            let records: Vec<fxnet::FrameRecord> = res
-                .deliveries
+            let deliveries = fab.run_to_idle();
+            assert_eq!(fab.violations(), 0, "synthesis admitted a late frame");
+            let records: Vec<fxnet::FrameRecord> = deliveries
                 .iter()
                 .map(|d| {
                     fxnet::FrameRecord::capture(

@@ -93,9 +93,9 @@ impl Experiments {
         self.seed
     }
 
-    /// Set the DES shard count every run is made with (default 1, the
-    /// legacy sequential loop). Only multi-segment topologies partition;
-    /// the paper-path shared bus ignores it, and traces are
+    /// Set the DES shard count every run is made with (default 1, one
+    /// unscoped fabric). Only multi-node topologies partition; the
+    /// one-segment paper-path bus always runs one shard, and traces are
     /// byte-identical at any count. Must be set before the first run is
     /// cached.
     pub fn with_shards(mut self, shards: usize) -> Experiments {

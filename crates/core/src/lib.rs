@@ -32,8 +32,7 @@
 //! | layer | crate | re-export |
 //! |---|---|---|
 //! | CSMA/CD Ethernet, frames, simulated time | `fxnet-sim` | [`sim`] |
-//! | multi-segment switched topologies | `fxnet-topo` | [`topo`] |
-//! | sharded parallel DES core | `fxnet-shard` | [`shard`] |
+//! | LAN topologies compiled to one fabric, sharded DES core | `fxnet-topo` | [`topo`] |
 //! | TCP/UDP stack | `fxnet-proto` | [`proto`] |
 //! | PVM message passing | `fxnet-pvm` | [`pvm`] |
 //! | SPMD runtime, patterns, cost model | `fxnet-fx` | [`fx`] |
@@ -58,7 +57,6 @@ pub use fxnet_numerics as numerics;
 pub use fxnet_proto as proto;
 pub use fxnet_pvm as pvm;
 pub use fxnet_qos as qos;
-pub use fxnet_shard as shard;
 pub use fxnet_sim as sim;
 pub use fxnet_spectral as spectral;
 pub use fxnet_telemetry as telemetry;

@@ -7,7 +7,7 @@ use fxnet_fx::{
 };
 use fxnet_proto::LinkKind;
 use fxnet_pvm::Route;
-use fxnet_sim::{FrameTap, SimTime, SwitchConfig};
+use fxnet_sim::{FrameTap, SimTime};
 use std::cell::RefCell;
 
 /// Builder for a [`Testbed`]: one fluent surface over everything the
@@ -96,10 +96,11 @@ impl TestbedBuilder {
     }
 
     /// Replace the shared collision domain with a store-and-forward
-    /// switch (per-host full-duplex 10 Mb/s ports) — the DESIGN.md §8
-    /// ablation isolating the MAC layer's contribution to burst shaping.
+    /// switch (per-host full-duplex ports at the LAN rate) — the
+    /// DESIGN.md §8 ablation isolating the MAC layer's contribution to
+    /// burst shaping.
     pub fn switched_fabric(mut self) -> TestbedBuilder {
-        self.cfg.pvm.net.link = LinkKind::Switched(SwitchConfig::default());
+        self.cfg.pvm.net.link = LinkKind::Switched;
         self
     }
 
@@ -149,11 +150,10 @@ impl TestbedBuilder {
         self
     }
 
-    /// Partition multi-segment topologies across `n` DES shards
-    /// (`fxnet-shard`). `1` (the default) runs the legacy sequential
-    /// fabric; any count produces byte-identical traces, watch events,
-    /// causal DAGs, and metrics. Ignored by the shared bus and the
-    /// switch counterfactual.
+    /// Partition the compiled topology across `n` DES shards (clamped to
+    /// its node count, so the one-node bus and switch always run one).
+    /// Any count produces byte-identical traces, watch events, causal
+    /// DAGs, and metrics.
     pub fn shards(mut self, n: usize) -> TestbedBuilder {
         self.cfg.pvm.net.shards = n.max(1);
         self
@@ -501,6 +501,23 @@ mod tests {
             matches!(err, fxnet_fx::FxnetError::InvalidConfig(_)),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn invalid_topologies_are_typed_errors() {
+        let trunk2 = || fxnet_topo::TopologySpec::two_switches_trunk(9, fxnet_sim::RATE_10M);
+        let mut zero_rate = trunk2();
+        zero_rate.nodes[1].rate_bps = 0;
+        let mut disconnected = trunk2();
+        disconnected.trunks.clear(); // sw0's hosts can no longer reach sw1's
+        for (spec, why) in [(zero_rate, "zero rate"), (disconnected, "no path")] {
+            let tb = TestbedBuilder::paper().topology(spec).build();
+            let err = tb.run_kernel(KernelKind::Hist, 100).unwrap_err();
+            assert!(
+                matches!(&err, fxnet_fx::FxnetError::InvalidConfig(m) if m.contains(why)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -335,10 +335,10 @@ pub struct RunOptions {
     /// the `fxnet-metrics` weather-map feed. Strictly observational: the
     /// trace is byte-identical with sampling on or off.
     pub sample_links: Option<u64>,
-    /// Override the DES shard count for this run (`fxnet-shard`). `0`
-    /// keeps [`fxnet_proto::NetConfig::shards`] as configured; any other
-    /// value replaces it. Only multi-segment topologies partition;
-    /// output is byte-identical at every shard count.
+    /// Override the DES shard count for this run (`fxnet-topo`'s
+    /// `ShardedFabric`). `0` keeps [`fxnet_proto::NetConfig::shards`] as
+    /// configured; any other value replaces it. Only multi-node
+    /// topologies partition; output is byte-identical at every count.
     pub shards: usize,
 }
 
@@ -553,18 +553,21 @@ where
     let map = TenantMap::pack(groups.iter().map(|g| (g.name.clone(), g.p)));
     let total = map.total_ranks();
     let hosts = cfg.hosts.max(total);
-    // A declarative topology fixes host placement: its attachment list
-    // must cover every workstation this run will stand up, or rank→NIC
-    // mapping would fall off the spec.
-    if let fxnet_proto::LinkKind::Topology(spec) = &cfg.pvm.net.link {
-        if (spec.host_count() as u32) < hosts {
-            return Err(FxnetError::InvalidConfig(format!(
-                "topology '{}' attaches {} hosts but the run needs {hosts}",
-                spec.id,
-                spec.host_count(),
-            )));
-        }
+    // Every link shape compiles to a topology, and a declarative one
+    // fixes host placement: its attachment list must cover every
+    // workstation this run will stand up, or rank→NIC mapping would fall
+    // off the spec. A spec that fails validation is rejected here rather
+    // than panicking in the fabric compiler.
+    let spec = cfg.pvm.net.topology(hosts as usize);
+    if (spec.host_count() as u32) < hosts {
+        return Err(FxnetError::InvalidConfig(format!(
+            "topology '{}' attaches {} hosts but the run needs {hosts}",
+            spec.id,
+            spec.host_count(),
+        )));
     }
+    spec.validate()
+        .map_err(|e| FxnetError::InvalidConfig(format!("topology '{}': {e}", spec.id)))?;
     let mut pvm = PvmSystem::new(cfg.pvm.clone(), total, hosts);
     pvm.set_promiscuous(true);
     pvm.set_tap(tap);

@@ -139,7 +139,9 @@ impl FabricSampler {
     ///   through the topology's host attachments; `:fwd` when the spec
     ///   is unknown),
     /// * else the sender's uplink port, if sampled,
-    /// * else the shared segment (`seg:bus`), if sampled.
+    /// * else the sender's segment (`seg:{node name}` from the
+    ///   topology's attachments; `seg:bus` when the spec is unknown),
+    ///   if sampled.
     ///
     /// Frames on unsampled links are skipped — attribution only ever
     /// annotates windows the link sampler saw.
@@ -166,7 +168,14 @@ impl FabricSampler {
                     if self.rings.iter().any(|(l, _)| l == &up) {
                         up
                     } else {
-                        "seg:bus".to_string()
+                        let node = spec.and_then(|spec| {
+                            let n = *spec.attachments.get(e.record.src.0 as usize)?;
+                            spec.nodes.get(n)
+                        });
+                        match node {
+                            Some(node) => format!("seg:{}", node.name),
+                            None => "seg:bus".to_string(),
+                        }
                     }
                 }
             };

@@ -1,32 +1,35 @@
 //! The protocol engine: hosts, TCP connections, UDP, and timers over the
-//! shared bus.
+//! LAN fabric.
 
 use crate::tcp::{ConnId, ConnState, Dir, TcpConn, WriteChunk};
 use bytes::Bytes;
-use fxnet_shard::ShardedFabric;
 use fxnet_sim::{
-    ethernet::Delivery, CausalEvent, CauseId, EtherBus, EtherConfig, EtherStats, EventQueue, Frame,
-    FrameKind, FrameMeta, FrameRecord, FrameTap, HostId, LinkStats, NicId, ProtoCause, SimRng,
-    SimTime, SwitchConfig, SwitchFabric,
+    ethernet::Delivery, CausalEvent, CauseId, EtherConfig, EtherStats, EventQueue, Frame,
+    FrameKind, FrameMeta, FrameRecord, FrameTap, HostId, LinkStats, NicId, ProtoCause, SimTime,
 };
-use fxnet_topo::{CompositeFabric, TopologySpec};
+use fxnet_topo::{NodeKind, ShardedFabric, TopologySpec};
 /// Maximum TCP payload per segment (1500 B MTU − 40 B headers).
 pub const MSS: u32 = 1460;
 /// Maximum UDP payload per datagram (1500 B MTU − 28 B headers).
 pub const MAX_UDP: usize = 1472;
 
-/// Link-layer selection: the paper's shared bus, the switched-fabric
+/// Link-layer shape: the paper's shared bus, the switched-fabric
 /// counterfactual (DESIGN.md §8 ablation), or a declarative
-/// multi-segment topology (DESIGN.md §11).
+/// multi-segment topology (DESIGN.md §11). Every shape compiles to a
+/// [`TopologySpec`] ([`NetConfig::topology`]), and the stack drives the
+/// compiled fabric.
 #[derive(Debug, Clone)]
 pub enum LinkKind {
-    /// Single CSMA/CD collision domain (the measured environment).
+    /// Single CSMA/CD collision domain at the LAN rate (the measured
+    /// environment): one `Segment` node named `bus`, so its link label
+    /// is `seg:bus`.
     SharedBus,
-    /// Store-and-forward switch with per-host full-duplex ports.
-    Switched(SwitchConfig),
-    /// A compiled multi-segment topology: segments, switches, routers,
-    /// and trunks (`fxnet-topo`). A single-segment spec reproduces the
-    /// `SharedBus` trace byte for byte.
+    /// Store-and-forward switch with a full-duplex port per host at the
+    /// LAN rate and the default 10 µs forwarding latency: one `Switch`
+    /// node.
+    Switched,
+    /// A multi-segment topology: segments, switches, routers, and trunks
+    /// (`fxnet-topo`). Its attachment list must cover the stack's hosts.
     Topology(TopologySpec),
 }
 
@@ -48,12 +51,29 @@ pub struct NetConfig {
     pub rto: SimTime,
     /// Seed for the MAC backoff RNG.
     pub seed: u64,
-    /// Number of DES shards for multi-segment topologies. `1` runs the
-    /// legacy sequential fabric; `> 1` partitions the topology across
-    /// scoped shards (`fxnet-shard`) with byte-identical output. Ignored
-    /// for the shared bus and the switch counterfactual, which have no
-    /// partitionable structure.
+    /// Number of DES shards the compiled topology is partitioned into
+    /// (clamped to its node count, so one-node shapes always run one
+    /// shard). Output is byte-identical at every count.
     pub shards: usize,
+}
+
+impl NetConfig {
+    /// Compile the link shape into the topology a stack of `hosts`
+    /// stations runs on: the one place a shared bus or a switch becomes
+    /// a spec. A declarative topology is returned as given.
+    pub fn topology(&self, hosts: usize) -> TopologySpec {
+        let rate = self.ether.bandwidth_bps;
+        let hosts = u32::try_from(hosts).expect("host count fits u32");
+        match &self.link {
+            LinkKind::SharedBus => {
+                TopologySpec::one_node("bus", "bus", NodeKind::Segment, hosts, rate)
+            }
+            LinkKind::Switched => {
+                TopologySpec::one_node("switch", "switch", NodeKind::Switch, hosts, rate)
+            }
+            LinkKind::Topology(spec) => spec.clone(),
+        }
+    }
 }
 
 impl Default for NetConfig {
@@ -188,156 +208,6 @@ enum Timer {
     },
 }
 
-/// The frame-carrying fabric beneath the stack. (The bus variant is much
-/// larger than the switch; exactly one Fabric exists per Network, so the
-/// size difference is irrelevant.)
-#[allow(clippy::large_enum_variant)]
-enum Fabric {
-    Bus(EtherBus),
-    Switch(SwitchFabric),
-    Topo(Box<CompositeFabric>),
-    /// A partitioned topology: the same compiled spec split across DES
-    /// shards, byte-identical to `Topo` at every shard count.
-    Sharded(Box<ShardedFabric>),
-}
-
-impl Fabric {
-    fn enqueue(&mut self, nic: NicId, frame: Frame, now: SimTime) {
-        match self {
-            Fabric::Bus(b) => b.enqueue(nic, frame, now),
-            Fabric::Switch(s) => s.enqueue(frame, now),
-            Fabric::Topo(t) => t.enqueue(nic, frame, now),
-            Fabric::Sharded(t) => t.enqueue(nic, frame, now),
-        }
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        match self {
-            Fabric::Bus(b) => b.next_event_time(),
-            Fabric::Switch(s) => s.next_event_time(),
-            Fabric::Topo(t) => t.next_event_time(),
-            Fabric::Sharded(t) => t.next_event_time(),
-        }
-    }
-
-    fn advance(&mut self, out: &mut Vec<Delivery>) -> Option<SimTime> {
-        match self {
-            Fabric::Bus(b) => b.advance(out),
-            Fabric::Switch(s) => s.advance(out),
-            Fabric::Topo(t) => t.advance(out),
-            Fabric::Sharded(t) => t.advance(out),
-        }
-    }
-
-    fn idle(&self) -> bool {
-        match self {
-            Fabric::Bus(b) => b.idle(),
-            Fabric::Switch(s) => s.idle(),
-            Fabric::Topo(t) => t.idle(),
-            Fabric::Sharded(t) => t.idle(),
-        }
-    }
-
-    fn set_promiscuous(&mut self, on: bool) {
-        match self {
-            Fabric::Bus(b) => b.set_promiscuous(on),
-            Fabric::Switch(s) => s.set_promiscuous(on),
-            Fabric::Topo(t) => t.set_promiscuous(on),
-            Fabric::Sharded(t) => t.set_promiscuous(on),
-        }
-    }
-
-    fn set_tap(&mut self, tap: Option<FrameTap>) {
-        match self {
-            Fabric::Bus(b) => b.set_tap(tap),
-            Fabric::Switch(s) => s.set_tap(tap),
-            Fabric::Topo(t) => t.set_tap(tap),
-            Fabric::Sharded(t) => t.set_tap(tap),
-        }
-    }
-
-    fn trace(&self) -> &[FrameRecord] {
-        match self {
-            Fabric::Bus(b) => b.trace(),
-            Fabric::Switch(s) => s.trace(),
-            Fabric::Topo(t) => t.trace(),
-            Fabric::Sharded(t) => t.trace(),
-        }
-    }
-
-    fn take_trace(&mut self) -> Vec<FrameRecord> {
-        match self {
-            Fabric::Bus(b) => b.take_trace(),
-            Fabric::Switch(s) => s.take_trace(),
-            Fabric::Topo(t) => t.take_trace(),
-            Fabric::Sharded(t) => t.take_trace(),
-        }
-    }
-
-    fn stats(&self) -> EtherStats {
-        match self {
-            Fabric::Bus(b) => b.stats(),
-            Fabric::Switch(s) => {
-                let (frames, bytes) = s.stats();
-                EtherStats {
-                    frames_delivered: frames,
-                    bytes_delivered: bytes,
-                    ..EtherStats::default()
-                }
-            }
-            Fabric::Topo(t) => t.stats(),
-            Fabric::Sharded(t) => t.stats(),
-        }
-    }
-
-    fn host_count(&self) -> usize {
-        match self {
-            Fabric::Bus(b) => b.nic_count(),
-            Fabric::Switch(s) => s.port_count(),
-            Fabric::Topo(t) => t.host_count(),
-            Fabric::Sharded(t) => t.host_count(),
-        }
-    }
-
-    /// Errors surfaced for frames the fabric destroyed. The switched
-    /// fabric never destroys frames.
-    fn errors(&self) -> &[(SimTime, Frame, fxnet_sim::TxError)] {
-        match self {
-            Fabric::Bus(b) => b.errors(),
-            Fabric::Switch(_) => &[],
-            Fabric::Topo(t) => t.errors(),
-            Fabric::Sharded(t) => t.errors(),
-        }
-    }
-
-    /// Enable/disable passive per-link sampling (no-op on the legacy
-    /// switch counterfactual, which has no link-level queues to observe).
-    fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
-        match self {
-            Fabric::Bus(b) => b.set_link_sampling(bin_ns),
-            Fabric::Switch(_) => {}
-            Fabric::Topo(t) => t.set_link_sampling(bin_ns),
-            Fabric::Sharded(t) => t.set_link_sampling(bin_ns),
-        }
-    }
-
-    /// Take the accumulated per-link sample series, if sampling is on.
-    fn take_link_stats(&mut self) -> Option<LinkStats> {
-        match self {
-            Fabric::Bus(b) => {
-                let series = b.take_link_series()?;
-                Some(LinkStats {
-                    bin_ns: b.link_sampling_bin_ns().unwrap_or(1),
-                    links: vec![("seg:bus".to_string(), series)],
-                })
-            }
-            Fabric::Switch(_) => None,
-            Fabric::Topo(t) => t.take_link_stats(),
-            Fabric::Sharded(t) => t.take_link_stats(),
-        }
-    }
-}
-
 /// Aggregate TCP-layer counters, snapshot via [`Network::tcp_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TcpStats {
@@ -357,7 +227,7 @@ pub struct TcpStats {
 /// The protocol stack: every host's TCP/UDP endpoints over one fabric.
 pub struct Network {
     cfg: NetConfig,
-    bus: Fabric,
+    fabric: ShardedFabric,
     conns: Vec<TcpConn>,
     timers: EventQueue<Timer>,
     tokens: TokenTable,
@@ -370,43 +240,24 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build a stack with `hosts` stations attached to a fresh bus.
+    /// Build a stack with `hosts` stations on a fresh fabric compiled
+    /// from the configured link shape.
+    ///
+    /// # Panics
+    /// If the compiled topology attaches fewer than `hosts` stations or
+    /// fails [`TopologySpec::validate`].
     pub fn new(cfg: NetConfig, hosts: usize) -> Network {
-        let bus = match &cfg.link {
-            LinkKind::SharedBus => {
-                let mut b = EtherBus::new(cfg.ether.clone(), SimRng::new(cfg.seed));
-                for _ in 0..hosts {
-                    b.attach();
-                }
-                Fabric::Bus(b)
-            }
-            LinkKind::Switched(sc) => Fabric::Switch(SwitchFabric::new(sc.clone(), hosts)),
-            LinkKind::Topology(spec) => {
-                assert!(
-                    spec.host_count() >= hosts,
-                    "topology '{}' attaches {} hosts but the stack needs {hosts}",
-                    spec.id,
-                    spec.host_count(),
-                );
-                if cfg.shards > 1 {
-                    Fabric::Sharded(Box::new(ShardedFabric::new(
-                        spec.clone(),
-                        &cfg.ether,
-                        cfg.seed,
-                        cfg.shards,
-                    )))
-                } else {
-                    Fabric::Topo(Box::new(CompositeFabric::new(
-                        spec.clone(),
-                        &cfg.ether,
-                        cfg.seed,
-                    )))
-                }
-            }
-        };
+        let spec = cfg.topology(hosts);
+        assert!(
+            spec.host_count() >= hosts,
+            "topology '{}' attaches {} hosts but the stack needs {hosts}",
+            spec.id,
+            spec.host_count(),
+        );
+        let fabric = ShardedFabric::new(spec, &cfg.ether, cfg.seed, cfg.shards);
         Network {
             cfg,
-            bus,
+            fabric,
             conns: Vec::new(),
             timers: EventQueue::new(),
             tokens: TokenTable::default(),
@@ -435,33 +286,33 @@ impl Network {
 
     /// Number of hosts on the LAN.
     pub fn host_count(&self) -> usize {
-        self.bus.host_count()
+        self.fabric.host_count()
     }
 
     /// Enable the promiscuous trace tap (the tcpdump workstation).
     pub fn set_promiscuous(&mut self, on: bool) {
-        self.bus.set_promiscuous(on);
+        self.fabric.set_promiscuous(on);
     }
 
     /// Install a live frame tap at the promiscuous capture point (see
     /// [`fxnet_sim::FrameTap`]); `None` removes it.
     pub fn set_tap(&mut self, tap: Option<FrameTap>) {
-        self.bus.set_tap(tap);
+        self.fabric.set_tap(tap);
     }
 
     /// The promiscuous trace so far.
     pub fn trace(&self) -> &[FrameRecord] {
-        self.bus.trace()
+        self.fabric.trace()
     }
 
     /// Take ownership of the promiscuous trace.
     pub fn take_trace(&mut self) -> Vec<FrameRecord> {
-        self.bus.take_trace()
+        self.fabric.take_trace()
     }
 
     /// MAC statistics.
     pub fn ether_stats(&self) -> EtherStats {
-        self.bus.stats()
+        self.fabric.stats()
     }
 
     /// Enable (`Some(bin_ns)`) or disable (`None`) passive per-link
@@ -469,12 +320,12 @@ impl Network {
     /// the schedule, RNG, and promiscuous trace are byte-identical
     /// either way.
     pub fn set_link_sampling(&mut self, bin_ns: Option<u64>) {
-        self.bus.set_link_sampling(bin_ns);
+        self.fabric.set_link_sampling(bin_ns);
     }
 
     /// Take the accumulated per-link sample series, if sampling is on.
     pub fn take_link_stats(&mut self) -> Option<LinkStats> {
-        self.bus.take_link_stats()
+        self.fabric.take_link_stats()
     }
 
     /// Bytes host `h` has committed to TCP but not yet had acknowledged:
@@ -543,7 +394,7 @@ impl Network {
         self.conns.push(TcpConn::new(a, b, now));
         let tok = self.token(TokenInfo::Syn { conn: id, stage: 0 });
         self.tcp_stats.syn_frames += 1;
-        self.bus
+        self.fabric
             .enqueue(Self::nic(a), Frame::tcp(a, b, FrameKind::Syn, 0, tok), now);
         self.timers
             .push(now + self.cfg.rto, Timer::SynRetry { conn: id, stage: 0 });
@@ -607,7 +458,7 @@ impl Network {
             bytes: data,
             cause,
         });
-        self.bus
+        self.fabric
             .enqueue(Self::nic(src), Frame::udp(src, dst, len, tok), now);
     }
 
@@ -651,7 +502,7 @@ impl Network {
                 retx: false,
             });
             self.tcp_stats.data_segments += 1;
-            self.bus.enqueue(
+            self.fabric.enqueue(
                 Self::nic(src),
                 Frame::tcp(src, dst, FrameKind::Data, n as u32, tok),
                 now,
@@ -684,7 +535,7 @@ impl Network {
         };
         let tok = self.token(TokenInfo::Ack { conn, dir, upto });
         self.tcp_stats.acks_sent += 1;
-        self.bus.enqueue(
+        self.fabric.enqueue(
             Self::nic(from),
             Frame::tcp(from, to, FrameKind::Ack, 0, tok),
             now,
@@ -693,7 +544,7 @@ impl Network {
 
     /// Time of the next protocol or MAC event.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        match (self.bus.next_event_time(), self.timers.peek_time()) {
+        match (self.fabric.next_event_time(), self.timers.peek_time()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -701,13 +552,13 @@ impl Network {
 
     /// Whether nothing is pending anywhere in the stack.
     pub fn idle(&self) -> bool {
-        self.bus.idle() && self.timers.is_empty()
+        self.fabric.idle() && self.timers.is_empty()
     }
 
     /// Process exactly one event, appending application events to `out`.
     /// Returns the event time, or `None` if the stack is idle.
     pub fn advance(&mut self, out: &mut Vec<AppEvent>) -> Option<SimTime> {
-        let t_bus = self.bus.next_event_time();
+        let t_bus = self.fabric.next_event_time();
         let t_tmr = self.timers.peek_time();
         let bus_first = match (t_bus, t_tmr) {
             (None, None) => return None,
@@ -718,8 +569,8 @@ impl Network {
         if bus_first {
             self.scratch.clear();
             let mut deliveries = std::mem::take(&mut self.scratch);
-            let t = self.bus.advance(&mut deliveries);
-            self.reap_bus_errors();
+            let t = self.fabric.advance(&mut deliveries);
+            self.reap_fabric_errors();
             for d in &deliveries {
                 self.handle_frame(d.time, d.frame, d.meta, out);
             }
@@ -741,10 +592,9 @@ impl Network {
 
     /// Drop token-table entries for frames the fabric destroyed
     /// (collision overflow or corruption) so the table does not leak.
-    /// Works across fabrics: the composite topology surfaces segment
-    /// losses with original tokens restored.
-    fn reap_bus_errors(&mut self) {
-        let errs = self.bus.errors();
+    /// The fabric surfaces segment losses with original tokens restored.
+    fn reap_fabric_errors(&mut self) {
+        let errs = self.fabric.errors();
         while self.errors_seen < errs.len() {
             let (_, frame, _) = errs[self.errors_seen];
             self.tokens.remove(frame.token);
@@ -774,7 +624,7 @@ impl Network {
                 if let Some((from, to)) = retry {
                     let tok = self.token(TokenInfo::Syn { conn, stage });
                     self.tcp_stats.syn_frames += 1;
-                    self.bus.enqueue(
+                    self.fabric.enqueue(
                         Self::nic(from),
                         Frame::tcp(from, to, FrameKind::Syn, 0, tok),
                         now,
@@ -811,7 +661,7 @@ impl Network {
                         cause,
                         retx: true,
                     });
-                    self.bus.enqueue(
+                    self.fabric.enqueue(
                         Self::nic(src),
                         Frame::tcp(src, dst, FrameKind::Data, n, tok),
                         now,
@@ -934,7 +784,7 @@ impl Network {
                         .push(now + self.cfg.rto, Timer::SynRetry { conn, stage: 1 });
                 }
                 let tok = self.token(TokenInfo::Syn { conn, stage: 1 });
-                self.bus
+                self.fabric
                     .enqueue(Self::nic(b), Frame::tcp(b, a, FrameKind::Syn, 0, tok), now);
             }
             1 => {
@@ -945,7 +795,7 @@ impl Network {
                     out.push(AppEvent::TcpEstablished { time: now, conn });
                 }
                 let tok = self.token(TokenInfo::Syn { conn, stage: 2 });
-                self.bus
+                self.fabric
                     .enqueue(Self::nic(a), Frame::tcp(a, b, FrameKind::Ack, 0, tok), now);
                 self.try_emit(conn, Dir::AtoB, now);
                 self.try_emit(conn, Dir::BtoA, now);
@@ -1283,10 +1133,34 @@ mod tests {
         assert!(acks.iter().all(|&s| s == 58));
     }
 
+    /// Pin a trace and the MAC counters `[frames_delivered,
+    /// bytes_delivered, collisions, backoffs, frames_dropped, busy_ns]`
+    /// against goldens recorded on the retired standalone bus and switch
+    /// fabrics.
+    fn assert_golden(
+        trace: &[FrameRecord],
+        s: EtherStats,
+        frames: usize,
+        digest: u64,
+        mac: [u64; 6],
+    ) {
+        assert_eq!(trace.len(), frames);
+        assert_eq!(fxnet_sim::trace_digest(trace), digest);
+        let got = [
+            s.frames_delivered,
+            s.bytes_delivered,
+            s.collisions,
+            s.backoffs,
+            s.frames_dropped,
+            s.busy_ns,
+        ];
+        assert_eq!(got, mac);
+    }
+
     #[test]
     fn switched_fabric_carries_tcp() {
         let cfg = NetConfig {
-            link: LinkKind::Switched(fxnet_sim::SwitchConfig::default()),
+            link: LinkKind::Switched,
             ..NetConfig::default()
         };
         let mut n = Network::new(cfg, 4);
@@ -1310,8 +1184,11 @@ mod tests {
         }
         assert_eq!(got1, payload);
         assert_eq!(got2, payload);
-        // No collisions on a switch.
-        assert_eq!(n.ether_stats().collisions, 0);
+        // The standalone switch's trace and counters, with no collisions.
+        // Its busy time was never counted; the compiled switch counts
+        // both port transmissions of every frame.
+        let mac = [70, 64_060, 0, 0, 0, 103_392_000];
+        assert_golden(n.trace(), n.ether_stats(), 70, 0xfd28_5b8d_35dc_dd85, mac);
     }
 
     #[test]
@@ -1333,12 +1210,17 @@ mod tests {
             n.run_to_idle();
             (n.take_trace(), n.ether_stats())
         };
+        // The standalone shared bus's trace and counters, collisions
+        // included; both spellings of one segment reproduce them.
         let rate = EtherConfig::default().bandwidth_bps;
-        let (bus_trace, bus_stats) = run(LinkKind::SharedBus);
-        let (topo_trace, topo_stats) =
-            run(LinkKind::Topology(TopologySpec::single_segment(4, rate)));
-        assert_eq!(bus_trace, topo_trace);
-        assert_eq!(bus_stats, topo_stats);
+        let mac = [66, 55_828, 15, 30, 0, 45_192_800];
+        for link in [
+            LinkKind::SharedBus,
+            LinkKind::Topology(TopologySpec::single_segment(4, rate)),
+        ] {
+            let (trace, stats) = run(link);
+            assert_golden(&trace, stats, 66, 0x86c6_27e6_073e_1cb4, mac);
+        }
     }
 
     #[test]

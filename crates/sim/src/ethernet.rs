@@ -184,11 +184,6 @@ impl EtherBus {
         self.sampling.as_mut().map(|(_, s)| std::mem::take(s))
     }
 
-    /// The active sample window, if sampling is enabled.
-    pub fn link_sampling_bin_ns(&self) -> Option<u64> {
-        self.sampling.as_ref().map(|(b, _)| *b)
-    }
-
     /// Attach a station; returns its interface id.
     pub fn attach(&mut self) -> NicId {
         let id = NicId(self.nics.len() as u32);
@@ -200,11 +195,6 @@ impl EtherBus {
             backoff_acc: 0,
         });
         id
-    }
-
-    /// Number of attached stations.
-    pub fn nic_count(&self) -> usize {
-        self.nics.len()
     }
 
     /// Enable or disable the promiscuous trace tap.

@@ -168,6 +168,28 @@ impl FrameRecord {
     }
 }
 
+/// 64-bit FNV-1a digest of a trace: every record's time, size, protocol,
+/// kind, and endpoints, in order. Golden tests pin runs by this digest.
+pub fn trace_digest(trace: &[FrameRecord]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for r in trace {
+        let bytes = r
+            .time
+            .as_nanos()
+            .to_le_bytes()
+            .into_iter()
+            .chain(r.wire_len.to_le_bytes())
+            .chain([r.proto as u8, r.kind as u8])
+            .chain(r.src.0.to_le_bytes())
+            .chain(r.dst.0.to_le_bytes());
+        for b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,20 +54,17 @@ pub mod linkstats;
 pub mod queue;
 pub mod rates;
 pub mod rng;
-pub mod spsc;
-pub mod switch;
 pub mod time;
 
 pub use cause::{AppCause, CausalEvent, Cause, CauseId, FrameMeta, ProtoCause};
 pub use error::{FxnetError, FxnetResult};
 pub use ethernet::{EtherBus, EtherConfig, EtherStats, NicId, TxError};
 pub use frame::{
-    Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, ETHER_OVERHEAD, MAX_FRAME, MIN_FRAME,
+    trace_digest, Frame, FrameKind, FrameRecord, FrameTap, HostId, Proto, ETHER_OVERHEAD,
+    MAX_FRAME, MIN_FRAME,
 };
 pub use linkstats::{LinkProbe, LinkSeries, LinkStats, LinkWindow};
 pub use queue::{BinaryHeapQueue, EventKey, EventQueue, KeyedQueue};
 pub use rates::{RATE_100M, RATE_10M, RATE_1G};
 pub use rng::SimRng;
-pub use spsc::{ring, RingReceiver, RingSender};
-pub use switch::{SwitchConfig, SwitchFabric};
 pub use time::SimTime;

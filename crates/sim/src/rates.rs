@@ -1,7 +1,7 @@
 //! Named link rates.
 //!
-//! Every layer that prices a link — the MAC (`EtherConfig`), the switch
-//! (`SwitchConfig`), the topology compiler (`fxnet-topo`), the QoS
+//! Every layer that prices a link — the MAC (`EtherConfig`), the
+//! topology compiler (`fxnet-topo`), the QoS
 //! admission model, and the experiment harness — used to repeat the same
 //! `10_000_000`-style literals. They live here once, under the names the
 //! paper and its successors use for the Ethernet generations.

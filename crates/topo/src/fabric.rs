@@ -1,18 +1,17 @@
 //! The composite fabric: a [`TopologySpec`] compiled into a running
-//! multi-segment network behind the exact pull interface `fxnet-proto`
-//! already drives (`enqueue` / `next_event_time` / `advance` / `idle`,
-//! promiscuous trace, live [`FrameTap`], surfaced transmit errors).
+//! network behind a pull interface (`enqueue` / `advance` / `idle`,
+//! promiscuous trace, live [`FrameTap`], surfaced transmit errors) that
+//! [`crate::ShardedFabric`] drives one shard at a time.
 //!
 //! Element reuse: every `Segment` node *is* an [`EtherBus`] — the full
 //! CSMA/CD machine with its own deterministic RNG stream — while switch
-//! and router ports and inter-node trunks generalize the
-//! [`fxnet_sim::SwitchFabric`] store-and-forward discipline (a free-time
-//! scalar per simplex link, output queuing on a [`KeyedQueue`] under the
-//! explicit [`EventKey`] order) to arbitrary hop counts. The key order —
+//! and router ports and inter-node trunks are store-and-forward links:
+//! a free-time scalar per simplex link, output queuing on a
+//! [`KeyedQueue`] under the explicit [`EventKey`] order. The key order —
 //! time, then calendar-before-bus, then fabric-entry stamp and per-frame
 //! hop — is a pure function of the offered load, which is what lets
-//! `fxnet-shard` split one fabric across worker threads and still merge
-//! a byte-identical event stream.
+//! [`crate::ShardedFabric`] split one fabric into scoped shards and
+//! still merge a byte-identical event stream.
 //!
 //! Token smuggling: the protocol layer correlates deliveries through
 //! `Frame::token`, but a multi-hop frame needs composite-side bookkeeping
@@ -21,8 +20,8 @@
 //! [`FrameMeta`], bottleneck candidates); the original token is restored
 //! at final delivery — and on surfaced errors — so the layer above never
 //! sees the swap. `FrameRecord` carries no token, so the promiscuous
-//! trace is unaffected: a single-segment topology reproduces the legacy
-//! shared-bus trace byte for byte.
+//! trace is unaffected: a single-segment topology reproduces a lone
+//! `EtherBus`'s trace byte for byte.
 //!
 //! Timing accounting is exact: at final delivery
 //! `meta.queue_ns + meta.backoff_ns + meta.tx_ns` equals the frame's
@@ -65,51 +64,20 @@ struct Transit {
 /// local. Produced by a scoped fabric's outbox, consumed by
 /// [`CompositeFabric::inject`].
 #[derive(Debug)]
-pub struct CrossFrame {
+pub(crate) struct CrossFrame {
     /// When the frame finishes arriving at the far node (trunk tx done +
     /// propagation + far node's store-and-forward latency).
-    arrival: SimTime,
+    pub(crate) arrival: SimTime,
     /// The far node (owned by the receiving shard).
-    node: usize,
+    pub(crate) node: usize,
     /// The arrival event's key — identical to the key the hop would have
     /// used had it stayed local, so merged event order is shard-blind.
     key: EventKey,
-    /// The cut trunk the frame crossed.
-    trunk: usize,
-    /// Direction on that trunk: 0 = a→b, 1 = b→a.
-    dir: usize,
     /// The frame; its token field is reassigned by `inject`.
     frame: Frame,
     /// The transit record, carried across (token = original protocol
     /// token).
     transit: Transit,
-}
-
-impl CrossFrame {
-    /// Arrival instant at the receiving shard.
-    pub fn arrival(&self) -> SimTime {
-        self.arrival
-    }
-
-    /// Global index of the receiving node.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    /// The arrival event's key.
-    pub fn key(&self) -> EventKey {
-        self.key
-    }
-
-    /// The cut trunk crossed.
-    pub fn trunk(&self) -> usize {
-        self.trunk
-    }
-
-    /// Direction on that trunk: 0 = a→b, 1 = b→a.
-    pub fn dir(&self) -> usize {
-        self.dir
-    }
 }
 
 /// Shard scoping of a fabric: the owned-node mask and the outbox of
@@ -203,8 +171,8 @@ pub struct CompositeFabric {
 impl CompositeFabric {
     /// Compile `spec` into a running fabric. Segment `EtherBus` instances
     /// clone `ether` with the node's rate; node 0's RNG stream is seeded
-    /// with `seed` exactly (single-segment byte-identity with the legacy
-    /// bus), further segments derive independent streams from it.
+    /// with `seed` exactly (single-segment byte-identity with a lone
+    /// `EtherBus`), further segments derive independent streams from it.
     ///
     /// # Panics
     /// If the spec fails [`TopologySpec::validate`].
@@ -229,7 +197,7 @@ impl CompositeFabric {
         }
         // NIC layout per segment: attached hosts in global host order,
         // then one bridge NIC per incident trunk in trunk-index order.
-        // (On a single segment this reproduces the legacy NicId(h) map.)
+        // (On a single segment this reproduces a lone bus's NicId(h) map.)
         let mut host_nic = vec![NicId(0); hosts];
         for (h, &node) in spec.attachments.iter().enumerate() {
             if let Some(bus) = &mut buses[node] {
@@ -325,16 +293,6 @@ impl CompositeFabric {
         Some(stats)
     }
 
-    /// The compiled spec.
-    pub fn spec(&self) -> &TopologySpec {
-        &self.spec
-    }
-
-    /// Number of hosts on the LAN.
-    pub fn host_count(&self) -> usize {
-        self.spec.host_count()
-    }
-
     /// Per-node flow counters. At idle every switch/router node conserves
     /// frames exactly: `frames_in == frames_out`.
     pub fn flows(&self) -> &[NodeFlow] {
@@ -368,6 +326,11 @@ impl CompositeFabric {
     /// Take ownership of the captured trace.
     pub fn take_trace(&mut self) -> Vec<FrameRecord> {
         std::mem::take(&mut self.trace)
+    }
+
+    /// The captured trace, for a sharded owner to harvest in place.
+    pub(crate) fn trace_mut(&mut self) -> &mut Vec<FrameRecord> {
+        &mut self.trace
     }
 
     /// Aggregate MAC statistics: delivery counters are end-to-end
@@ -442,7 +405,7 @@ impl CompositeFabric {
     /// Stamps order equal-time calendar events, so a sharded fabric must
     /// hand every shard stamps from one global counter — in the exact
     /// order the sequential fabric would have assigned them.
-    pub fn enqueue_stamped(&mut self, nic: NicId, frame: Frame, now: SimTime, stamp: u64) {
+    pub(crate) fn enqueue_stamped(&mut self, nic: NicId, frame: Frame, now: SimTime, stamp: u64) {
         let host = nic.0 as usize;
         let src_node = self.spec.attachments[host];
         let mut f = frame;
@@ -587,8 +550,6 @@ impl CompositeFabric {
                 arrival,
                 node: far,
                 key,
-                trunk: ti,
-                dir,
                 frame: f,
                 transit,
             });
@@ -669,7 +630,7 @@ impl CompositeFabric {
     /// Key of the next fabric event: the calendar head against every
     /// segment's next bus event, under the global [`EventKey`] order —
     /// calendar first at equal times, then segments by node index.
-    pub fn next_key(&self) -> Option<EventKey> {
+    pub(crate) fn next_key(&self) -> Option<EventKey> {
         let mut k = self.events.peek_key();
         for (n, bus) in self.buses.iter().enumerate() {
             if let Some(t) = bus.as_ref().and_then(EtherBus::next_event_time) {
@@ -683,23 +644,13 @@ impl CompositeFabric {
         k
     }
 
-    /// Time of the next fabric event.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.next_key().map(|k| k.time)
-    }
-
-    /// Process exactly one fabric event, appending any final delivery.
-    /// Simultaneous events resolve deterministically by [`EventKey`]:
-    /// the calendar queue first (stamp, then hop), then segments by node
-    /// index — an order that is a pure function of the offered load, so
-    /// it is identical at every shard count.
-    pub fn advance(&mut self, out: &mut Vec<Delivery>) -> Option<SimTime> {
-        self.advance_keyed(out).map(|k| k.time)
-    }
-
-    /// [`CompositeFabric::advance`], returning the processed event's key
-    /// so a sharded owner can merge per-shard output streams globally.
-    pub fn advance_keyed(&mut self, out: &mut Vec<Delivery>) -> Option<EventKey> {
+    /// Process exactly one fabric event, appending any final delivery,
+    /// and return its key so a sharded owner can merge per-shard output
+    /// streams globally. Simultaneous events resolve deterministically
+    /// by [`EventKey`]: the calendar queue first (stamp, then hop), then
+    /// segments by node index — an order that is a pure function of the
+    /// offered load, so it is identical at every shard count.
+    pub(crate) fn advance_keyed(&mut self, out: &mut Vec<Delivery>) -> Option<EventKey> {
         let k = self.next_key()?;
         self.clock = k.time;
         if k.class == 0 {
@@ -746,7 +697,7 @@ impl CompositeFabric {
     /// forwarded across a trunk whose far end is not owned are diverted
     /// to the outbox as [`CrossFrame`]s instead of being scheduled
     /// locally. `owned.len()` must equal the node count.
-    pub fn set_scope(&mut self, owned: Vec<bool>) {
+    pub(crate) fn set_scope(&mut self, owned: Vec<bool>) {
         assert_eq!(owned.len(), self.spec.nodes.len(), "mask covers all nodes");
         self.scope = Some(ShardScope {
             owned,
@@ -756,7 +707,7 @@ impl CompositeFabric {
 
     /// Drain the outbox of frames bound for other shards (empty when the
     /// fabric is unscoped).
-    pub fn drain_outbox(&mut self, into: &mut Vec<CrossFrame>) {
+    pub(crate) fn drain_outbox(&mut self, into: &mut Vec<CrossFrame>) {
         if let Some(scope) = &mut self.scope {
             into.append(&mut scope.outbox);
         }
@@ -764,9 +715,11 @@ impl CompositeFabric {
 
     /// Accept a frame that crossed a cut trunk from another shard:
     /// re-slab its transit locally and schedule its arrival event under
-    /// the key the sending shard computed. The conservative protocol
-    /// guarantees `cf.arrival` has not been passed yet.
-    pub fn inject(&mut self, cf: CrossFrame) {
+    /// the key the sending shard computed. The cooperative driver
+    /// guarantees `cf.arrival` has not been passed yet: the driver only
+    /// ever advances the globally earliest event, and every cut-trunk
+    /// hop arrives strictly after the event that sent it.
+    pub(crate) fn inject(&mut self, cf: CrossFrame) {
         debug_assert!(
             cf.arrival >= self.clock,
             "causality: injected frame arrives at {:?} but shard clock is {:?}",
@@ -785,14 +738,14 @@ impl CompositeFabric {
     }
 
     /// Time of the last processed event (the shard-local clock).
-    pub fn clock(&self) -> SimTime {
+    pub(crate) fn clock(&self) -> SimTime {
         self.clock
     }
 
     /// Drain every pending event (test helper).
     pub fn run_to_idle(&mut self) -> Vec<Delivery> {
         let mut out = Vec::new();
-        while self.advance(&mut out).is_some() {}
+        while self.advance_keyed(&mut out).is_some() {}
         out
     }
 }
@@ -808,9 +761,9 @@ mod tests {
         Frame::tcp(HostId(src), HostId(dst), FrameKind::Data, payload, token)
     }
 
-    /// The tentpole equivalence: a single-segment topology is the legacy
-    /// shared bus — identical deliveries (time, frame, meta) and an
-    /// identical promiscuous trace, under contention and collisions.
+    /// A single-segment topology is a lone `EtherBus` — identical
+    /// deliveries (time, frame, meta) and an identical promiscuous
+    /// trace, under contention and collisions.
     #[test]
     fn single_segment_matches_legacy_bus_exactly() {
         let ether = EtherConfig::default();

@@ -7,41 +7,15 @@
 //! `trunk2` splits into its two switches, `tree2` into `{leaf0}` and
 //! `{leaf1, root}` at two shards and one node per shard at three.
 //!
-//! Every trunk whose endpoints land on different shards becomes a *cut
-//! trunk*: its two directions turn into inter-shard channels, each with a
-//! conservative lookahead — the earliest a frame leaving the sending
-//! shard "now" can possibly finish arriving at the far node:
-//!
-//! ```text
-//! lookahead = tx_time(minimum frame at trunk rate)   // wire occupancy
-//!           + trunk propagation delay                // spec'd per trunk
-//!           + store-and-forward latency of far node  // switch/router
-//! ```
-//!
-//! All three terms are strictly positive (rates are validated nonzero,
-//! the default propagation delay is 1 µs, switch/router latency 10/50 µs),
-//! so the null-message protocol in `fxnet-shard` always has slack to
-//! advance an idle channel's clock.
+//! Every trunk whose endpoints land on different shards is a *cut
+//! trunk*: a frame crossing it leaves the sending shard's fabric as a
+//! `CrossFrame` and resumes on the far node's shard. Its arrival lies
+//! strictly in the future — trunk wire time, propagation delay and the
+//! far node's store-and-forward latency are all positive — so the
+//! cooperative driver in [`crate::ShardedFabric`] can inject it before
+//! the receiving shard's clock reaches it.
 
 use crate::spec::TopologySpec;
-use fxnet_sim::frame::PREAMBLE;
-use fxnet_sim::{SimTime, MIN_FRAME};
-
-/// One directed inter-shard channel over a cut trunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardChannel {
-    /// Sending shard (owner of the trunk end the frame leaves from).
-    pub from: usize,
-    /// Receiving shard (owner of the far node).
-    pub to: usize,
-    /// Trunk index in the spec.
-    pub trunk: usize,
-    /// Direction on that trunk: 0 = a→b, 1 = b→a.
-    pub dir: usize,
-    /// Conservative lookahead: no frame sent on this channel after the
-    /// sending shard's clock reads `t` can arrive before `t + lookahead`.
-    pub lookahead: SimTime,
-}
 
 /// A shard assignment of a topology's nodes, hosts, and trunks.
 #[derive(Debug, Clone)]
@@ -54,15 +28,6 @@ pub struct Partition {
     pub host_shard: Vec<usize>,
     /// Trunks whose endpoints live on different shards.
     pub cut_trunks: Vec<usize>,
-    /// Directed channels, two per cut trunk, in (trunk, dir) order.
-    pub channels: Vec<ShardChannel>,
-}
-
-/// Wire time of a minimum frame (pure ACK) at `bps`, preamble included —
-/// the transmission term of the channel lookahead.
-pub fn min_frame_tx(bps: u64) -> SimTime {
-    let bits = u64::from(MIN_FRAME + PREAMBLE) * 8;
-    SimTime::from_nanos(bits * 1_000_000_000 / bps)
 }
 
 impl Partition {
@@ -100,55 +65,24 @@ impl Partition {
             .iter()
             .map(|&node| node_shard[node])
             .collect();
-        let mut cut_trunks = Vec::new();
-        let mut channels = Vec::new();
-        for (ti, t) in spec.trunks.iter().enumerate() {
-            let (sa, sb) = (node_shard[t.a], node_shard[t.b]);
-            if sa == sb {
-                continue;
-            }
-            cut_trunks.push(ti);
-            for (dir, from, to, far) in [(0, sa, sb, t.b), (1, sb, sa, t.a)] {
-                let lookahead = min_frame_tx(t.rate_bps) + t.prop_delay + spec.latency(far);
-                assert!(
-                    lookahead > SimTime::ZERO,
-                    "channel lookahead must be strictly positive"
-                );
-                channels.push(ShardChannel {
-                    from,
-                    to,
-                    trunk: ti,
-                    dir,
-                    lookahead,
-                });
-            }
-        }
+        let cut_trunks = spec
+            .trunks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| node_shard[t.a] != node_shard[t.b])
+            .map(|(ti, _)| ti)
+            .collect();
         Partition {
             shards,
             node_shard,
             host_shard,
             cut_trunks,
-            channels,
         }
     }
 
     /// Owned-node mask for `shard`.
     pub fn owned_mask(&self, shard: usize) -> Vec<bool> {
         self.node_shard.iter().map(|&s| s == shard).collect()
-    }
-
-    /// Channels received by `shard`, as indices into [`Partition::channels`].
-    pub fn incoming(&self, shard: usize) -> Vec<usize> {
-        (0..self.channels.len())
-            .filter(|&c| self.channels[c].to == shard)
-            .collect()
-    }
-
-    /// Channels sent by `shard`, as indices into [`Partition::channels`].
-    pub fn outgoing(&self, shard: usize) -> Vec<usize> {
-        (0..self.channels.len())
-            .filter(|&c| self.channels[c].from == shard)
-            .collect()
     }
 }
 
@@ -163,7 +97,7 @@ mod tests {
         for req in [0, 1, 2, 4, 16] {
             let p = Partition::new(&spec, req);
             assert_eq!(p.shards, 1);
-            assert!(p.cut_trunks.is_empty() && p.channels.is_empty());
+            assert!(p.cut_trunks.is_empty());
             assert!(p.host_shard.iter().all(|&s| s == 0));
         }
     }
@@ -175,7 +109,6 @@ mod tests {
         assert_eq!(p.shards, 2, "two nodes clamp four shards to two");
         assert_eq!(p.node_shard, vec![0, 1]);
         assert_eq!(p.cut_trunks, vec![0]);
-        assert_eq!(p.channels.len(), 2);
         // Hosts follow their switch.
         for (h, &node) in spec.attachments.iter().enumerate() {
             assert_eq!(p.host_shard[h], p.node_shard[node]);
@@ -192,34 +125,20 @@ mod tests {
         assert_eq!(p3.shards, 3);
         assert_eq!(p3.node_shard, vec![0, 1, 2]);
         assert_eq!(p3.cut_trunks, vec![0, 1], "both uplinks are cut");
-        assert_eq!(p3.channels.len(), 4);
-    }
-
-    #[test]
-    fn lookahead_is_tx_plus_prop_plus_latency() {
-        let spec = TopologySpec::two_switches_trunk(4, RATE_10M);
-        let p = Partition::new(&spec, 2);
-        let t = spec.trunks[0];
-        for c in &p.channels {
-            let far = if c.dir == 0 { t.b } else { t.a };
-            let expect = min_frame_tx(t.rate_bps) + t.prop_delay + spec.latency(far);
-            assert_eq!(c.lookahead, expect);
-            assert!(c.lookahead > SimTime::ZERO);
-        }
     }
 
     #[test]
     fn channel_endpoints_are_consistent() {
         let spec = TopologySpec::two_level_tree(6, RATE_10M);
         let p = Partition::new(&spec, 3);
-        for (ci, c) in p.channels.iter().enumerate() {
-            assert_ne!(c.from, c.to);
-            assert!(p.outgoing(c.from).contains(&ci));
-            assert!(p.incoming(c.to).contains(&ci));
-            let t = spec.trunks[c.trunk];
-            let (near, far) = if c.dir == 0 { (t.a, t.b) } else { (t.b, t.a) };
-            assert_eq!(p.node_shard[near], c.from);
-            assert_eq!(p.node_shard[far], c.to);
+        for (ti, t) in spec.trunks.iter().enumerate() {
+            let cut = p.node_shard[t.a] != p.node_shard[t.b];
+            assert_eq!(p.cut_trunks.contains(&ti), cut, "trunk {ti}");
+        }
+        for (s, mask) in (0..p.shards).map(|s| (s, p.owned_mask(s))) {
+            for (n, &owned) in mask.iter().enumerate() {
+                assert_eq!(owned, p.node_shard[n] == s);
+            }
         }
     }
 }

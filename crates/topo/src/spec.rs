@@ -71,22 +71,29 @@ pub struct TopologySpec {
 /// cable plus PHY latency).
 pub const DEFAULT_PROP_DELAY: SimTime = SimTime::from_micros(1);
 
-/// Default switch forwarding latency — matches
-/// [`fxnet_sim::SwitchConfig::default`]'s `forward_latency`.
+/// Default switch forwarding latency (a store-and-forward switch of the
+/// paper's successor generation).
 pub const DEFAULT_SWITCH_LATENCY: SimTime = SimTime::from_micros(10);
 
 /// Default router forwarding latency (software forwarding path).
 pub const DEFAULT_ROUTER_LATENCY: SimTime = SimTime::from_micros(50);
 
 impl TopologySpec {
-    /// The paper's fabric: every host on one shared collision domain at
-    /// `rate_bps`. Compiles to exactly the legacy `EtherBus` path.
-    pub fn single_segment(hosts: u32, rate_bps: u64) -> TopologySpec {
+    /// Every host on one node named `name` of kind `kind` at `rate_bps`,
+    /// with no trunks: one shared collision domain, or one switch with a
+    /// dedicated full-duplex port per host.
+    pub fn one_node(
+        id: &str,
+        name: &str,
+        kind: NodeKind,
+        hosts: u32,
+        rate_bps: u64,
+    ) -> TopologySpec {
         TopologySpec {
-            id: "single".to_string(),
+            id: id.to_string(),
             nodes: vec![Node {
-                name: "seg0".to_string(),
-                kind: NodeKind::Segment,
+                name: name.to_string(),
+                kind,
                 rate_bps,
             }],
             trunks: Vec::new(),
@@ -94,6 +101,12 @@ impl TopologySpec {
             switch_latency: DEFAULT_SWITCH_LATENCY,
             router_latency: DEFAULT_ROUTER_LATENCY,
         }
+    }
+
+    /// The paper's fabric: every host on one shared collision domain at
+    /// `rate_bps`, a single CSMA/CD `EtherBus`.
+    pub fn single_segment(hosts: u32, rate_bps: u64) -> TopologySpec {
+        TopologySpec::one_node("single", "seg0", NodeKind::Segment, hosts, rate_bps)
     }
 
     /// Two switches joined by one trunk, hosts split evenly (first half

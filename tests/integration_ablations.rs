@@ -57,6 +57,45 @@ fn switched_fabric_preserves_results_and_periodicity() {
     assert_eq!(sw.ether.collisions, 0);
 }
 
+/// The switched half of `repro ablate-switch`'s pairs (2DFFT and HIST
+/// on the paper LAN) at seed 7, pinned to the goldens of the standalone
+/// switch fabric the protocol stack drove before every link shape
+/// compiled to a topology: trace length, trace digest, finish time (ns),
+/// and `[frames_delivered, bytes_delivered, collisions, backoffs,
+/// frames_dropped, busy_ns]`. The standalone switch never counted busy
+/// time; the compiled switch counts both port transmissions of every
+/// frame. The bus half is pinned in `integration_topology.rs`.
+#[test]
+fn ablate_switch_pairs_match_the_standalone_fabric_goldens() {
+    #[rustfmt::skip]
+    let cases = [
+        (KernelKind::Fft2d, 8118, 0xbea380c6069f6449, 5_584_791_400, 8_336_604, 13_442_476_800),
+        (KernelKind::Hist, 102, 0xd07a7f0d3a757e15, 930_926_600, 68_076, 110_227_200),
+    ];
+    for (k, frames, digest, finished, bytes, busy) in cases {
+        let run = TestbedBuilder::paper()
+            .seed(7)
+            .switched_fabric()
+            .build()
+            .run_kernel(k, 20)
+            .unwrap();
+        let label = k.name();
+        assert_eq!(run.trace.len(), frames, "{label}");
+        assert_eq!(fxnet::sim::trace_digest(&run.trace), digest, "{label}");
+        assert_eq!(run.finished_at.as_nanos(), finished, "{label}");
+        let e = run.ether;
+        let got = [
+            e.frames_delivered,
+            e.bytes_delivered,
+            e.collisions,
+            e.backoffs,
+            e.frames_dropped,
+            e.busy_ns,
+        ];
+        assert_eq!(got, [frames as u64, bytes, 0, 0, 0, busy], "{label}");
+    }
+}
+
 #[test]
 fn shared_bus_collides_where_switch_cannot() {
     let bus = Testbed::quiet(4).run_kernel(KernelKind::Fft2d, 50).unwrap();

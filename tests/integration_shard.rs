@@ -1,12 +1,13 @@
-//! Cross-crate integration for the sharded DES core (`fxnet-shard`
-//! behind `TestbedBuilder::shards`): every observable artifact of a run
-//! — the promiscuous trace, program timing, MAC statistics, the causal
-//! capture, the streaming watcher's event log and metrics, and the
-//! violation-blame export — is byte-identical at shard counts 1, 2,
-//! and 4 on every fabric, for all six measured programs and across
-//! seeds. Shard count 1 takes the legacy sequential fabric path, so
-//! these equalities also pin the sharded core to the pre-shard
-//! behavior bit for bit.
+//! Cross-crate integration for the sharded DES core (`fxnet-topo`'s
+//! `ShardedFabric` behind `TestbedBuilder::shards`): every observable
+//! artifact of a run — the promiscuous trace, program timing, MAC
+//! statistics, the causal capture, the streaming watcher's event log
+//! and metrics, and the violation-blame export — is byte-identical at
+//! shard counts 1, 2, and 4 on every fabric, for all six measured
+//! programs and across seeds. One shard is one unscoped
+//! `CompositeFabric`, so these equalities pin every partition to the
+//! unpartitioned fabric bit for bit; `integration_topology.rs` pins
+//! that fabric to the standalone shared bus's goldens.
 
 use fxnet::causal::{blame_value, blame_violation};
 use fxnet::mix::MixTenant;
@@ -84,7 +85,7 @@ fn six_programs_are_byte_identical_at_shard_counts_1_2_4() {
     for seed in [7u64, 1998] {
         for (name, run) in programs(seed) {
             for spec in fabrics(hosts_of(name)) {
-                // shards=1 takes the legacy sequential fabric path.
+                // shards=1 is one unscoped fabric: the oracle.
                 let base = run(spec.clone(), 1);
                 for shards in [2usize, 4] {
                     let got = run(spec.clone(), shards);
