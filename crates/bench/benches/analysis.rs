@@ -2,11 +2,13 @@
 //! tooling): statistics, windowed bandwidth, periodograms, model fitting
 //! and regeneration, the QoS negotiation, and the columnar engine —
 //! store build, fused report vs the multi-pass legacy report, indexed
-//! connection views vs filtered copies, binary vs text trace IO, and
-//! the chunked-container (FXTC v2) cursor decode.
+//! connection views vs filtered copies, binary vs text trace IO, the
+//! chunked-container (FXTC v2) cursor decode, and the spill-free
+//! scaling-relation fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fxnet::fx::Pattern;
+use fxnet::metrics::ScalingAccum;
 use fxnet::qos::{negotiate, AppDescriptor, QosNetwork};
 use fxnet::sim::{Frame, FrameKind, FrameRecord, HostId, SimRng, SimTime};
 use fxnet::spectral::generate::SynthConfig;
@@ -179,6 +181,63 @@ fn bench_chunk_cursor(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A seeded burst trace as `(time_ns, src, dst)` columns: every
+/// 479 ms one group of 8 of 32 hosts runs an all-to-all, each pair
+/// sending a few data frames with an ACK back after every second one,
+/// about 120 µs apart.
+fn burst_columns(frames: usize, seed: u64) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+    let mut rng = SimRng::new(seed);
+    let (mut time_ns, mut src, mut dst) = (Vec::new(), Vec::new(), Vec::new());
+    let mut t = 0u64;
+    'bursts: for burst in 0u64.. {
+        t = t.max(burst * 479_157_000);
+        let base = rng.below(4) as u32 * 8;
+        let segs = 4 + rng.below(8);
+        for (i, j) in (0..8u32).flat_map(|i| (0..8u32).map(move |j| (i, j))) {
+            if i == j {
+                continue;
+            }
+            for seg in 0..segs {
+                let mut frame = |s: u32, d: u32| {
+                    time_ns.push(t);
+                    src.push(base + s);
+                    dst.push(base + d);
+                    t += 120_000 + rng.below(3_000);
+                };
+                frame(i, j);
+                if seg % 2 == 1 {
+                    frame(j, i);
+                }
+                if time_ns.len() >= frames {
+                    break 'bursts;
+                }
+            }
+        }
+    }
+    time_ns.truncate(frames);
+    src.truncate(frames);
+    dst.truncate(frames);
+    (time_ns, src, dst)
+}
+
+fn bench_scaling_accum(c: &mut Criterion) {
+    const CHUNK: usize = 65_536;
+    let (time_ns, src, dst) = burst_columns(1_000_000, 7);
+    c.bench_function("metrics/scaling_accum_1m_frames", |b| {
+        b.iter(|| {
+            let mut acc = ScalingAccum::new(1_000_000, &[1, 10, 100, 1000]);
+            for ((t, s), d) in time_ns
+                .chunks(CHUNK)
+                .zip(src.chunks(CHUNK))
+                .zip(dst.chunks(CHUNK))
+            {
+                acc.record_columns(black_box(t), black_box(s), black_box(d));
+            }
+            black_box(acc.finalize())
+        })
+    });
+}
+
 fn bench_qos(c: &mut Criterion) {
     c.bench_function("qos/negotiate_1_to_64", |b| {
         let app = AppDescriptor::scalable(Pattern::AllToAll, 24.0, |p| {
@@ -200,6 +259,7 @@ criterion_group!(
     bench_connection_index_vs_copy,
     bench_trace_io,
     bench_chunk_cursor,
+    bench_scaling_accum,
     bench_qos
 );
 criterion_main!(benches);

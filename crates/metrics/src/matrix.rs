@@ -149,8 +149,7 @@ impl WindowMatrix {
             *deg.entry(s).or_default() += 1;
             *deg.entry(d).or_default() += 1;
         }
-        deg.into_iter()
-            .max_by_key(|&(h, d)| (d, std::cmp::Reverse(h)))
+        top_degree(None, deg)
     }
 }
 
@@ -222,12 +221,13 @@ impl TrafficMatrices {
                     .max()
                     .unwrap_or(0);
                 let sum_nnz: usize = sm.windows.values().map(WindowMatrix::nnz).sum();
-                let (max_degree_host, max_degree) = sm
-                    .windows
-                    .values()
-                    .filter_map(|w| w.max_degree(&self.space))
-                    .max_by_key(|&(h, d)| (d, std::cmp::Reverse(h)))
-                    .unwrap_or((0, 0));
+                let (max_degree_host, max_degree) = top_degree(
+                    None,
+                    sm.windows
+                        .values()
+                        .filter_map(|w| w.max_degree(&self.space)),
+                )
+                .unwrap_or((0, 0));
                 ScalingRelation {
                     scale: sm.scale,
                     window_ns: self.bin_ns * sm.scale,
@@ -349,69 +349,199 @@ impl MatrixAccum {
 /// means divide the same integers) while holding only the *open*
 /// window of each scale: frames must arrive in non-decreasing time
 /// order (the capture invariant), so when a window's index moves on,
-/// the window is folded into its scale's running summary and freed.
+/// the window is folded into its scale's running summary and retired.
 /// Counts are additive, so feeding every scale directly from frames
 /// equals the coarse-from-fine merge `MatrixAccum::finalize` performs.
 ///
-/// Peak memory is O(pairs active in the widest open window) — bounded
-/// by the host-pair space, independent of trace length.
+/// A window needs only its packet total, its distinct pairs and its
+/// top-degree host, so no per-pair count is kept. Each `(src, dst)` is
+/// interned once into a dense pair id, and each host into a dense host
+/// id, both in first-seen order. Each scale keeps the open window's
+/// first frame number (its packet total is the frame count since), the
+/// ids of the pairs active in it, and a sequence number; each pair
+/// keeps, per scale, the sequence number of the last window it was seen
+/// in. A frame therefore costs one intern lookup and, per scale, one
+/// stamp compare — a push onto the active list on a pair's first frame
+/// in the window. Closing a window counts degrees over the active pairs
+/// in a reused dense per-host array, zeroing it again while picking the
+/// top host by the original host id, under the same order
+/// [`TrafficMatrices::summaries`] maximizes; a window with too few
+/// pairs to reach the best degree so far skips the count.
+///
+/// Memory is O(distinct pairs × scales + pairs active in the open
+/// windows) — bounded by the host-pair space, independent of trace
+/// length.
 #[derive(Debug)]
 pub struct ScalingAccum {
     bin_ns: u64,
     scales: Vec<ScaleAccum>,
-    prev_ns: Option<u64>,
+    /// Earliest end of any scale's open window: a frame before it
+    /// opens no window.
+    next_edge_ns: u64,
+    last_ns: u64,
     frames: u64,
+    pair_ids: IdTable,
+    host_ids: IdTable,
+    /// Dense host ids of each pair's source and destination.
+    pair_hosts: Vec<[u32; 2]>,
+    /// Original host id of each dense host id.
+    hosts: Vec<u32>,
+    /// Per pair, per scale: sequence number of the last window the pair
+    /// was seen in (0: never). Row-major, one row of `scales.len()` per
+    /// pair.
+    stamps: Vec<u64>,
+    /// Per dense host: degree in the window being closed; all zero
+    /// between closes.
+    deg: Vec<u32>,
 }
 
-/// An open window: its index and per-pair packet counts.
-type OpenWindow = (u64, BTreeMap<(u32, u32), u64>);
-
 /// One scale's open window and running summary.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ScaleAccum {
     scale: u64,
-    open: Option<OpenWindow>,
+    /// Index of the open window, at this scale.
+    open_w: u64,
+    /// First nanosecond after the open window (saturating); 0 until a
+    /// window opens.
+    end_ns: u64,
+    /// Sequence number of the open window, counting from 1; 0 until a
+    /// window opens.
+    seq: u64,
+    /// Frames recorded before the open window's first frame.
+    opened_at: u64,
+    /// Ids of the pairs seen in the open window.
+    active: Vec<u32>,
     windows: u64,
     total_packets: u64,
     max_packets: u64,
     sum_nnz: u64,
     max_nnz: u64,
-    /// Best (host, degree) so far, under the same `(degree,
-    /// Reverse(host))` order `TrafficMatrices::summaries` maximizes.
+    /// Best (host, degree) so far, under [`top_degree`]'s order.
     best: Option<(u32, u32)>,
 }
 
 impl ScaleAccum {
-    fn close_open(&mut self) {
-        let Some((_, counts)) = self.open.take() else {
+    /// Fold the open window into the summary; `frames` is the number of
+    /// frames recorded up to its end.
+    fn close_open(&mut self, frames: u64, pair_hosts: &[[u32; 2]], hosts: &[u32], deg: &mut [u32]) {
+        if self.seq == 0 {
             return;
-        };
-        let packets: u64 = counts.values().sum();
-        let nnz = counts.len() as u64;
+        }
+        let packets = frames - self.opened_at;
+        let nnz = self.active.len() as u64;
         self.windows += 1;
         self.total_packets += packets;
         self.max_packets = self.max_packets.max(packets);
         self.sum_nnz += nnz;
         self.max_nnz = self.max_nnz.max(nnz);
-        let mut deg: BTreeMap<u32, u32> = BTreeMap::new();
-        for &(s, d) in counts.keys() {
-            *deg.entry(s).or_default() += 1;
-            *deg.entry(d).or_default() += 1;
+        // No host's degree exceeds nnz + 1 (a self pair counts twice),
+        // so a window under the best degree so far cannot replace it.
+        if self.best.is_some_and(|(_, bd)| nnz + 1 < u64::from(bd)) {
+            self.active.clear();
+            return;
         }
-        if let Some((h, d)) = deg
-            .into_iter()
-            .max_by_key(|&(h, d)| (d, std::cmp::Reverse(h)))
-        {
-            // Windows close in ascending order, so taking the later
-            // window on ties replicates max_by_key's last-max-wins over
-            // the window sequence.
-            let better = match self.best {
-                None => true,
-                Some((bh, bd)) => (d, std::cmp::Reverse(h)) >= (bd, std::cmp::Reverse(bh)),
-            };
-            if better {
-                self.best = Some((h, d));
+        for &p in &self.active {
+            for h in pair_hosts[p as usize] {
+                deg[h as usize] += 1;
             }
+        }
+        // Windows close in ascending order, so folding each one's hosts
+        // into the best so far replicates max_by_key over the windows.
+        self.best = top_degree(
+            self.best,
+            self.active
+                .iter()
+                .flat_map(|&p| pair_hosts[p as usize])
+                .filter_map(|h| {
+                    let d = std::mem::take(&mut deg[h as usize]);
+                    (d > 0).then(|| (hosts[h as usize], d))
+                }),
+        );
+        self.active.clear();
+    }
+
+    /// Open window `w`, whose first frame is frame number `frames`.
+    fn open(&mut self, w: u64, frames: u64, bin_ns: u64) {
+        self.open_w = w;
+        self.end_ns = w
+            .checked_add(1)
+            .and_then(|n| n.checked_mul(self.scale))
+            .and_then(|n| n.checked_mul(bin_ns))
+            .unwrap_or(u64::MAX);
+        self.seq += 1;
+        self.opened_at = frames;
+    }
+}
+
+/// Open-addressing map from a 64-bit key to a dense `u32` id handed
+/// out in first-seen order: linear probing in a power-of-two table
+/// kept at most half full, multiply-shift hashed. The multiplier is a
+/// random odd number drawn per table, so keys read from a trace cannot
+/// be crafted to collide; ids, and with them every result, do not
+/// depend on it.
+#[derive(Debug)]
+struct IdTable {
+    mul: u64,
+    /// 64 − log2(table size).
+    shift: u32,
+    /// `(key, id)`; id [`IdTable::EMPTY`] marks a free slot.
+    slots: Vec<(u64, u32)>,
+    len: u32,
+}
+
+impl IdTable {
+    const EMPTY: u32 = u32::MAX;
+    const MIN_SLOTS: usize = 16;
+
+    fn new() -> IdTable {
+        use std::hash::BuildHasher;
+        IdTable {
+            mul: std::collections::hash_map::RandomState::new().hash_one(0u64) | 1,
+            shift: 64 - Self::MIN_SLOTS.trailing_zeros(),
+            slots: vec![(0, Self::EMPTY); Self::MIN_SLOTS],
+            len: 0,
+        }
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(self.mul) >> self.shift) as usize
+    }
+
+    /// The id of `key` and whether it was new, interning it if so.
+    fn id(&mut self, key: u64) -> (u32, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let (k, id) = self.slots[i];
+            if id == Self::EMPTY {
+                break;
+            }
+            if k == key {
+                return (id, false);
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.len;
+        assert!(id < Self::EMPTY, "more distinct keys than u32 ids");
+        self.slots[i] = (key, id);
+        self.len += 1;
+        if 2 * self.len as usize > self.slots.len() {
+            self.grow();
+        }
+        (id, true)
+    }
+
+    fn grow(&mut self) {
+        let size = 2 * self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![(0, Self::EMPTY); size]);
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for (key, id) in old.into_iter().filter(|&(_, id)| id != Self::EMPTY) {
+            let mut i = self.home(key);
+            while self.slots[i].1 != Self::EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (key, id);
         }
     }
 }
@@ -431,53 +561,34 @@ impl ScalingAccum {
                 .iter()
                 .map(|&scale| ScaleAccum {
                     scale,
-                    open: None,
-                    windows: 0,
-                    total_packets: 0,
-                    max_packets: 0,
-                    sum_nnz: 0,
-                    max_nnz: 0,
-                    best: None,
+                    ..ScaleAccum::default()
                 })
                 .collect(),
-            prev_ns: None,
+            next_edge_ns: 0,
+            last_ns: 0,
             frames: 0,
+            pair_ids: IdTable::new(),
+            host_ids: IdTable::new(),
+            pair_hosts: Vec::new(),
+            hosts: Vec::new(),
+            stamps: Vec::new(),
+            deg: Vec::new(),
         }
     }
 
     /// Count one delivered frame. Frames must arrive in non-decreasing
     /// time order — the spill-free window retirement depends on it.
     pub fn record(&mut self, time_ns: u64, src: u32, dst: u32) {
-        if let Some(p) = self.prev_ns {
-            assert!(
-                time_ns >= p,
-                "ScalingAccum requires time-ordered frames ({time_ns} after {p})"
-            );
-        }
-        self.prev_ns = Some(time_ns);
-        let w = time_ns / self.bin_ns;
-        for sa in &mut self.scales {
-            let ws = w / sa.scale;
-            match &mut sa.open {
-                Some((open_w, counts)) if *open_w == ws => {
-                    *counts.entry((src, dst)).or_default() += 1;
-                }
-                _ => {
-                    sa.close_open();
-                    let mut counts = BTreeMap::new();
-                    counts.insert((src, dst), 1u64);
-                    sa.open = Some((ws, counts));
-                }
-            }
-        }
-        self.frames += 1;
+        self.check_order(&[time_ns]);
+        self.push(time_ns, src, dst);
     }
 
     /// Count one decoded chunk of columns.
     pub fn record_columns(&mut self, time_ns: &[u64], src: &[u32], dst: &[u32]) {
         assert!(time_ns.len() == src.len() && time_ns.len() == dst.len());
-        for i in 0..time_ns.len() {
-            self.record(time_ns[i], src[i], dst[i]);
+        self.check_order(time_ns);
+        for ((&t, &s), &d) in time_ns.iter().zip(src).zip(dst) {
+            self.push(t, s, d);
         }
     }
 
@@ -493,7 +604,7 @@ impl ScalingAccum {
         self.scales
             .iter_mut()
             .map(|sa| {
-                sa.close_open();
+                sa.close_open(self.frames, &self.pair_hosts, &self.hosts, &mut self.deg);
                 let (max_degree_host, max_degree) = sa.best.unwrap_or((0, 0));
                 ScalingRelation {
                     scale: sa.scale,
@@ -518,6 +629,91 @@ impl ScalingAccum {
             })
             .collect()
     }
+
+    /// Panic unless `time_ns` continues the recorded frames in
+    /// non-decreasing order.
+    fn check_order(&mut self, time_ns: &[u64]) {
+        let mut prev = self.last_ns;
+        for &t in time_ns {
+            assert!(
+                t >= prev,
+                "ScalingAccum requires time-ordered frames ({t} after {prev})"
+            );
+            prev = t;
+        }
+        self.last_ns = prev;
+    }
+
+    /// Count one frame already checked to be in time order.
+    fn push(&mut self, time_ns: u64, src: u32, dst: u32) {
+        if time_ns >= self.next_edge_ns {
+            self.advance(time_ns);
+        }
+        let n = self.scales.len();
+        let p = self.pair_id(src, dst);
+        let stamps = &mut self.stamps[p as usize * n..][..n];
+        for (sa, stamp) in self.scales.iter_mut().zip(stamps) {
+            if *stamp != sa.seq {
+                *stamp = sa.seq;
+                sa.active.push(p);
+            }
+        }
+        self.frames += 1;
+    }
+
+    /// Retire every open window `time_ns` lies past and open the one it
+    /// falls in.
+    fn advance(&mut self, time_ns: u64) {
+        let w = time_ns / self.bin_ns;
+        for sa in &mut self.scales {
+            if time_ns < sa.end_ns {
+                continue;
+            }
+            let ws = w / sa.scale;
+            // An open window ending at u64::MAX (saturated) still holds
+            // a frame at u64::MAX.
+            if sa.seq == 0 || ws != sa.open_w {
+                sa.close_open(self.frames, &self.pair_hosts, &self.hosts, &mut self.deg);
+                sa.open(ws, self.frames, self.bin_ns);
+            }
+        }
+        self.next_edge_ns = self.scales.iter().map(|sa| sa.end_ns).min().unwrap_or(0);
+    }
+
+    /// The dense id of `(src, dst)`, interning the pair and its hosts on
+    /// first sight.
+    fn pair_id(&mut self, src: u32, dst: u32) -> u32 {
+        let (p, fresh) = self.pair_ids.id(u64::from(src) << 32 | u64::from(dst));
+        if fresh {
+            let hosts = [src, dst].map(|h| {
+                let (id, fresh) = self.host_ids.id(u64::from(h));
+                if fresh {
+                    self.hosts.push(h);
+                    self.deg.push(0);
+                }
+                id
+            });
+            self.pair_hosts.push(hosts);
+            self.stamps.resize(self.stamps.len() + self.scales.len(), 0);
+        }
+        p
+    }
+}
+
+/// The max-degree rule every ladder summary shares: the candidate
+/// `(host, degree)` with the highest degree wins, the smallest host id
+/// on equal degrees, and of equal keys the later one — what
+/// `max_by_key(|&(h, d)| (d, Reverse(h)))` picks. Folds `candidates`
+/// into `best`.
+fn top_degree(
+    best: Option<(u32, u32)>,
+    candidates: impl IntoIterator<Item = (u32, u32)>,
+) -> Option<(u32, u32)> {
+    let key = |&(h, d): &(u32, u32)| (d, std::cmp::Reverse(h));
+    candidates.into_iter().fold(best, |best, c| match best {
+        Some(b) if key(&c) < key(&b) => Some(b),
+        _ => Some(c),
+    })
 }
 
 #[cfg(test)]
@@ -593,6 +789,18 @@ mod tests {
         assert_eq!(s[1].window_ns, 10_000_000);
     }
 
+    /// Equal summaries, means compared to the bit.
+    fn assert_same_relations(got: &[ScalingRelation], want: &[ScalingRelation]) {
+        assert_eq!(got, want);
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.mean_packets.to_bits(), b.mean_packets.to_bits());
+            assert_eq!(
+                a.mean_distinct_pairs.to_bits(),
+                b.mean_distinct_pairs.to_bits()
+            );
+        }
+    }
+
     #[test]
     fn scaling_accum_matches_materialized_summaries() {
         let scales = [1u64, 10, 100, 1000];
@@ -605,16 +813,73 @@ mod tests {
             stream.record(t.as_nanos(), s, d);
         }
         assert_eq!(stream.frames(), 500);
-        let want = acc.finalize(&scales).summaries();
-        let got = stream.finalize();
-        assert_eq!(got, want);
-        // Means must match to the bit, not approximately.
-        for (a, b) in got.iter().zip(&want) {
-            assert_eq!(a.mean_packets.to_bits(), b.mean_packets.to_bits());
-            assert_eq!(
-                a.mean_distinct_pairs.to_bits(),
-                b.mean_distinct_pairs.to_bits()
-            );
+        assert_same_relations(&stream.finalize(), &acc.finalize(&scales).summaries());
+    }
+
+    /// `(time_ns, src, dst)` frames shaped like the trace-scan benchmark
+    /// trace: 32 hosts, all-to-all bursts inside groups of 8 every
+    /// 479 ms, each pair sending three data frames with an ACK back
+    /// after the second. Host ids are sparse and their order differs
+    /// from first-seen order.
+    fn paper_shaped_frames() -> Vec<(u64, u32, u32)> {
+        let host = |i: u32| match i % 4 {
+            0 => u32::MAX - i,
+            1 => (32 - i) << 20,
+            2 => i,
+            _ => u32::MAX - (i << 20),
+        };
+        let mut out = Vec::new();
+        let mut t = 0u64;
+        for burst in 0..6u64 {
+            t = t.max(burst * 479_157_000 + burst * 313_000);
+            let base = (burst * 3 % 4) as u32 * 8;
+            for (i, j) in (0..8u32).flat_map(|i| (0..8u32).map(move |j| (i, j))) {
+                if i == j {
+                    continue;
+                }
+                for seg in 0..3u64 {
+                    out.push((t, host(base + i), host(base + j)));
+                    t += 120_000 + seg * 7_000;
+                    if seg == 1 {
+                        out.push((t, host(base + j), host(base + i)));
+                        t += 50_000;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn scaling_accum_matches_materialized_at_trace_scan_shape() {
+        let scales = [1u64, 10, 100, 1000];
+        let frames = paper_shaped_frames();
+        let mut oracle = MatrixAccum::new(1_000_000);
+        for &(t, s, d) in &frames {
+            oracle.record(SimTime::from_nanos(t), s, d, 60);
+        }
+        let want = oracle.finalize(&scales).summaries();
+        assert!(want[3].windows >= 3, "{:?}", want[3]);
+        // Degree ties go to the smallest host id, which is not the
+        // first host seen (dense id 0).
+        assert_ne!(want[3].max_degree_host, frames[0].1);
+
+        let mut per_frame = ScalingAccum::new(1_000_000, &scales);
+        for &(t, s, d) in &frames {
+            per_frame.record(t, s, d);
+        }
+        assert_same_relations(&per_frame.finalize(), &want);
+        let time_ns: Vec<u64> = frames.iter().map(|f| f.0).collect();
+        let src: Vec<u32> = frames.iter().map(|f| f.1).collect();
+        let dst: Vec<u32> = frames.iter().map(|f| f.2).collect();
+        for chunk in [1, 37, frames.len()] {
+            let mut acc = ScalingAccum::new(1_000_000, &scales);
+            for at in (0..frames.len()).step_by(chunk) {
+                let end = (at + chunk).min(frames.len());
+                acc.record_columns(&time_ns[at..end], &src[at..end], &dst[at..end]);
+            }
+            assert_eq!(acc.frames(), frames.len() as u64);
+            assert_same_relations(&acc.finalize(), &want);
         }
     }
 
@@ -647,23 +912,56 @@ mod tests {
         s.record(4_999_999, 0, 1);
     }
 
+    /// Host ids spread over the whole u32 range, so first-seen order
+    /// and id order disagree.
+    fn sparse_host() -> impl Strategy<Value = u32> {
+        prop::sample::select(vec![0, 1, 7, 1 << 20, u32::MAX - 1, u32::MAX])
+    }
+
     proptest! {
         /// The streaming scaling fold equals the materialized ladder's
-        /// summaries on arbitrary time-ordered traffic.
+        /// summaries on arbitrary time-ordered traffic between sparse
+        /// host ids.
         #[test]
         fn scaling_accum_equals_materialized_on_arbitrary_traffic(
-            frames in prop::collection::vec((0u64..2_000_000, 0u32..6, 0u32..6), 0..150),
+            frames in prop::collection::vec(
+                (0u64..2_000_000, sparse_host(), sparse_host()),
+                0..150,
+            ),
         ) {
             let mut times: Vec<u64> = frames.iter().map(|&(us, _, _)| us * 1000).collect();
             times.sort_unstable();
-            let scales = [1u64, 10, 100];
+            let scales = [1u64, 10, 100, 1000];
             let mut acc = MatrixAccum::new(1_000_000);
             let mut stream = ScalingAccum::new(1_000_000, &scales);
             for (&t, &(_, s, d)) in times.iter().zip(&frames) {
                 acc.record(SimTime::from_nanos(t), s, d, 60);
                 stream.record(t, s, d);
             }
-            prop_assert_eq!(stream.finalize(), acc.finalize(&scales).summaries());
+            assert_same_relations(&stream.finalize(), &acc.finalize(&scales).summaries());
+        }
+
+        /// Window indices at the top of the u64 range (1 ns base
+        /// windows, the last frame at u64::MAX) neither overflow a
+        /// window's end nor alias a fresh window.
+        #[test]
+        fn scaling_accum_equals_materialized_at_extreme_window_indices(
+            frames in prop::collection::vec(
+                (0u64..3_000, sparse_host(), sparse_host()),
+                1..150,
+            ),
+        ) {
+            let mut times: Vec<u64> = frames.iter().map(|&(back, _, _)| u64::MAX - back).collect();
+            times.sort_unstable();
+            *times.last_mut().expect("at least one frame") = u64::MAX;
+            let scales = [1u64, 10, 100, 1000];
+            let mut acc = MatrixAccum::new(1);
+            let mut stream = ScalingAccum::new(1, &scales);
+            for (&t, &(_, s, d)) in times.iter().zip(&frames) {
+                acc.record(SimTime::from_nanos(t), s, d, 60);
+                stream.record(t, s, d);
+            }
+            assert_same_relations(&stream.finalize(), &acc.finalize(&scales).summaries());
         }
 
         /// Conservation across the ladder on arbitrary traffic: every

@@ -7,8 +7,8 @@
 //! no shrinking, the failing inputs are printed instead.
 //!
 //! Supported strategy surface (what this workspace uses): integer and
-//! float ranges, tuples of strategies, [`collection::vec`], and
-//! [`any`] for primitives.
+//! float ranges, tuples of strategies, [`collection::vec`],
+//! [`sample::select`], and [`any`] for primitives.
 
 pub mod strategy {
     use crate::test_runner::TestRng;
@@ -166,6 +166,31 @@ pub mod collection {
     }
 }
 
+pub mod sample {
+    use crate::strategy::Strategy;
+    use crate::test_runner::TestRng;
+    use std::borrow::Cow;
+
+    pub struct Select<T: Clone + 'static> {
+        values: Cow<'static, [T]>,
+    }
+
+    /// `prop::sample::select(values)`: one of `values`, uniformly.
+    pub fn select<T: Clone + 'static>(values: impl Into<Cow<'static, [T]>>) -> Select<T> {
+        let values = values.into();
+        assert!(!values.is_empty(), "select from an empty set");
+        Select { values }
+    }
+
+    impl<T: Clone + 'static> Strategy for Select<T> {
+        type Value = T;
+        fn generate(&self, rng: &mut TestRng) -> T {
+            let i = (0..self.values.len()).generate(rng);
+            self.values[i].clone()
+        }
+    }
+}
+
 pub mod test_runner {
     /// Per-test configuration; only `cases` is meaningful in the shim.
     #[derive(Debug, Clone)]
@@ -295,6 +320,11 @@ mod tests {
                 prop_assert!(a < 4);
                 prop_assert!((-1.0..1.0).contains(&b));
             }
+        }
+
+        #[test]
+        fn select_draws_from_the_set(x in prop::sample::select(&[2u32, 3, u32::MAX][..])) {
+            prop_assert!([2, 3, u32::MAX].contains(&x));
         }
 
         #[test]
