@@ -1,10 +1,9 @@
 //! Criterion benches for the analysis pipeline (the paper's offline
 //! tooling): statistics, windowed bandwidth, periodograms, model fitting
 //! and regeneration, the QoS negotiation, and the columnar engine —
-//! store build, fused report vs the multi-pass legacy report, indexed
-//! connection views vs filtered copies, binary vs text trace IO, the
-//! chunked-container (FXTC v2) cursor decode, and the spill-free
-//! scaling-relation fold.
+//! store build, the fused report fold, indexed connection views vs
+//! filtered copies, binary vs text trace IO, the chunked-container
+//! (FXTC v2) cursor decode, and the spill-free scaling-relation fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fxnet::fx::Pattern;
@@ -91,20 +90,11 @@ fn bench_store_build(c: &mut Criterion) {
     });
 }
 
-fn bench_report_fused_vs_legacy(c: &mut Criterion) {
-    let tr = synthetic_trace(100_000);
-    let store = TraceStore::from_records(&tr);
+fn bench_report_fold(c: &mut Criterion) {
+    let store = TraceStore::from_records(&synthetic_trace(100_000));
     let opts = ReportOptions::default();
-    // Spectrum `None`: the periodogram is computed identically by both
-    // paths and would swamp the comparison; this isolates the one fused
-    // traversal against the legacy pass-per-quantity structure.
-    c.bench_function("columnar/report_legacy_multipass", |b| {
-        b.iter(|| {
-            black_box(TraceReport::analyze_with_spectrum(
-                "bench", &tr, &opts, None,
-            ))
-        })
-    });
+    // Spectrum `None`: the periodogram would swamp the one fused
+    // traversal this isolates.
     c.bench_function("columnar/report_fused_view", |b| {
         b.iter(|| {
             black_box(TraceReport::analyze_view_with_spectrum(
@@ -255,7 +245,7 @@ criterion_group!(
     bench_periodogram,
     bench_model_fit_and_generate,
     bench_store_build,
-    bench_report_fused_vs_legacy,
+    bench_report_fold,
     bench_connection_index_vs_copy,
     bench_trace_io,
     bench_chunk_cursor,

@@ -14,8 +14,7 @@ pub use scan::{
 
 use fxnet::apps::airshed::AirshedParams;
 use fxnet::trace::{
-    average_bandwidth, binned_bandwidth, connection, host_pairs, load_store, save_store,
-    Periodogram, ReportOptions, Stats, TraceFormat, TraceReport, TraceStore,
+    load_store, save_store, Periodogram, ReportOptions, Stats, TraceFormat, TraceReport, TraceStore,
 };
 use fxnet::{FrameRecord, HostId, KernelKind, RunResult, SimTime, TestbedBuilder};
 use fxnet_harness::Pool;
@@ -623,12 +622,7 @@ pub fn stats_row(label: &str, s: Option<Stats>) -> String {
     }
 }
 
-/// Format one average-bandwidth row (KB/s).
-pub fn bandwidth_row(label: &str, trace: &[FrameRecord]) -> String {
-    bandwidth_row_bw(label, average_bandwidth(trace))
-}
-
-/// Format one average-bandwidth row from an already-computed value.
+/// Format one average-bandwidth row (KB/s) from a computed value.
 pub fn bandwidth_row_bw(label: &str, bw: Option<f64>) -> String {
     match bw {
         Some(bw) => format!("{label:<10} {:>10.1}", bw / 1000.0),
@@ -638,9 +632,8 @@ pub fn bandwidth_row_bw(label: &str, bw: Option<f64>) -> String {
 
 // --------------------------------------------------------------------
 // The analysis suite: one program's full offline analysis, rendered to
-// one deterministic string. The AoS and columnar paths fill the same
-// struct through the same render, so "byte-identical output" reduces to
-// the bitwise-identical numbers the equivalence tests already assert.
+// one deterministic string — the artifact `repro bench` times and diffs
+// across trace reloads.
 
 /// Longest periodogram input the suite allows. The report and spike
 /// analyses clamp their bin so the series stays under this length —
@@ -714,46 +707,9 @@ impl Suite {
     }
 }
 
-/// The suite on the legacy array-of-structs path: every kernel walks
-/// the record slice, and each per-connection analysis first *copies*
-/// its frames out with [`fxnet::trace::connection`] — the baseline the
-/// columnar engine is measured against.
-pub fn analysis_suite_aos(name: &str, trace: &[FrameRecord]) -> String {
-    let span = trace
-        .iter()
-        .fold(None, |acc: Option<(SimTime, SimTime)>, r| {
-            Some(match acc {
-                None => (r.time, r.time),
-                Some((lo, hi)) => (lo.min(r.time), hi.max(r.time)),
-            })
-        })
-        .map_or(SimTime::ZERO, |(lo, hi)| hi.saturating_sub(lo));
-    let opts = suite_opts(span);
-    let binned = binned_bandwidth(trace, opts.bin);
-    let spec = (!binned.is_empty()).then(|| Periodogram::compute(&binned, opts.bin));
-    // One slice pass per derived quantity — the legacy API has nothing
-    // to fuse them with — and a filtered copy per host pair.
-    let report = TraceReport::analyze_with_spectrum(name, trace, &opts, spec.as_ref());
-    let conns = host_pairs(trace)
-        .into_iter()
-        .map(|((s, d), n)| {
-            let c = connection(trace, s, d); // the copy the index removes
-            SuiteConnRow {
-                src: s.0,
-                dst: d.0,
-                frames: n,
-                sizes: Stats::packet_sizes(&c),
-                avg_bw: average_bandwidth(&c),
-            }
-        })
-        .collect();
-    suite_from(name, trace.len(), &opts, &report, spec.as_ref(), conns).render()
-}
-
-/// The suite on the columnar path: fused single-pass view kernels over
+/// One program's analysis suite: fused single-pass view kernels over
 /// the store's columns, zero-copy connection views from the index, and
-/// the one-pass [`TraceReport::analyze_view`]. Output is byte-identical
-/// to [`analysis_suite_aos`] on the same frames.
+/// the one-pass [`TraceReport::analyze_view_with_spectrum`].
 pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
     let v = store.view();
     let span = v
@@ -782,9 +738,7 @@ pub fn analysis_suite_columnar(name: &str, store: &TraceStore) -> String {
     suite_from(name, v.len(), &opts, &report, spec.as_ref(), conns).render()
 }
 
-/// Fill the [`Suite`] from a computed report + spectrum. Both suite
-/// paths route through this, so byte-identical output reduces to the
-/// bitwise-identical numbers the equivalence tests already prove.
+/// Fill the [`Suite`] from a computed report + spectrum.
 fn suite_from(
     name: &str,
     frames: usize,
@@ -870,16 +824,35 @@ mod tests {
         assert!(row.starts_with('Y'));
     }
 
+    /// `analysis_suite_columnar("HIST", ..)` at `--div 100`, seed 1998,
+    /// recorded when a second, record-slice report path still checked
+    /// it; the golden now holds the suite to those bytes.
+    const HIST_SUITE_D100: &str = r#"## HIST — 30 frames
+bin 10000000 ns
+sizes B        58.0    1518.0     472.4     574.0
+inter ms        0.1       1.7       0.4       0.5
+avg KB/s       1087.5
+bursts 1
+flatness 1.000000
+| HIST | 30 | 0.0 | 58/1518/472/574 | 0/2/0/0 | 1087.5 | 1×14KB (cv 0.00) | 50.00 |
+### connections
+ 0->1        4  sz             58.0    1518.0     576.0     598.5  bw              264.3
+ 0->2        4  sz             58.0    1518.0     576.0     598.5  bw              371.3
+ 0->3        4  sz             58.0    1518.0     576.0     598.5  bw             1185.2
+ 1->0        5  sz             58.0    1518.0     472.4     574.0  bw              262.3
+ 2->0        5  sz             58.0    1518.0     472.4     574.0  bw              368.9
+ 2->3        2  sz             58.0      58.0      58.0       0.0  bw               33.3
+ 3->0        2  sz             58.0      58.0      58.0       0.0  bw               59.5
+ 3->2        4  sz             58.0    1518.0     576.0     598.5  bw              648.3
+"#;
+
     #[test]
     fn analysis_suites_are_byte_identical_and_survive_both_formats() {
         let dir = std::env::temp_dir().join(format!("fxnet-suite-{}", std::process::id()));
         let mut e = Experiments::new(100, 1, &dir);
-        let trace = e.kernel(KernelKind::Hist).trace.clone();
-        let store = TraceStore::from_records(&trace);
-        let aos = analysis_suite_aos("HIST", &trace);
+        let store = TraceStore::from_records(&e.kernel(KernelKind::Hist).trace);
         let col = analysis_suite_columnar("HIST", &store);
-        assert_eq!(aos, col, "AoS and columnar suites must render identically");
-        assert!(aos.contains("### connections"));
+        assert_eq!(col, HIST_SUITE_D100, "the suite must render the golden");
 
         // Round trip through both on-disk formats; the reloaded suites
         // must also match byte for byte.
@@ -897,8 +870,8 @@ mod tests {
         let from_bin = load_store(&bin).expect("load binary");
         assert_eq!(from_txt, store);
         assert_eq!(from_bin, store);
-        assert_eq!(analysis_suite_columnar("HIST", &from_txt), aos);
-        assert_eq!(analysis_suite_columnar("HIST", &from_bin), aos);
+        assert_eq!(analysis_suite_columnar("HIST", &from_txt), HIST_SUITE_D100);
+        assert_eq!(analysis_suite_columnar("HIST", &from_bin), HIST_SUITE_D100);
         std::fs::remove_dir_all(&dir).ok();
     }
 

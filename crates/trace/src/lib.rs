@@ -21,13 +21,15 @@
 //! * **Size populations** — exact packet-size histograms, used to verify
 //!   the trimodal distributions the paper describes for SOR/2DFFT/HIST.
 //!
-//! Analyses run over either representation: the legacy array-of-structs
-//! `Vec<FrameRecord>` slice kernels, or the columnar [`TraceStore`] —
-//! structure-of-arrays columns with a one-pass connection index, whose
-//! [`TraceView`]s make `connection()`, `demux()`, and per-connection
-//! statistics zero-copy and whose kernels are single fused passes. The
-//! two paths share their arithmetic cores and produce bitwise-identical
-//! results; the columnar one is what the bench harness runs at scale.
+//! Analyses run over the columnar [`TraceStore`] — structure-of-arrays
+//! columns with a one-pass connection index, whose [`TraceView`]s make
+//! `connection()`, `demux()`, and per-connection statistics zero-copy.
+//! The per-program report has exactly one implementation, the
+//! [`StreamingReport`] fold: [`TraceReport::analyze_view`] feeds it a
+//! view's columns, and the out-of-core scan feeds it decoded chunks, so
+//! both produce the same bits. The `Vec<FrameRecord>` slice kernels
+//! remain for the capture edge and as the test oracle the fold is
+//! proven against.
 //! Traces persist as diffable text or as the compact binary columnar
 //! container in [`io`], selected by file extension.
 
@@ -80,7 +82,7 @@ pub use io::{
     TraceIoError,
 };
 pub use phases::{PhaseBreakdown, PhaseRow};
-pub use report::{markdown_table, markdown_table_views, ReportOptions, TraceReport};
+pub use report::{markdown_table_views, ReportOptions, TraceReport};
 pub use select::{connection, dominant_modes, host_pairs, size_population};
 pub use spectrum::{autocorrelation, Periodogram, Spike};
 pub use stats::Stats;

@@ -5,12 +5,12 @@
 //! fragment, so harnesses and downstream tools can emit EXPERIMENTS-style
 //! tables without reimplementing the formatting.
 
-use crate::bandwidth::{average_bandwidth, binned_bandwidth};
-use crate::bursts::{Burst, BurstProfile};
+use crate::bursts::BurstProfile;
 use crate::spectrum::Periodogram;
-use crate::stats::{Stats, Welford};
+use crate::stats::Stats;
 use crate::store::TraceView;
-use fxnet_sim::{FrameRecord, SimTime};
+use crate::streaming::StreamingReport;
+use fxnet_sim::SimTime;
 use std::fmt::Write;
 
 /// Options controlling the report.
@@ -35,7 +35,8 @@ impl Default for ReportOptions {
     }
 }
 
-/// All derived quantities for one trace, computed in one pass.
+/// All derived quantities for one trace, computed in one pass by
+/// [`StreamingReport`].
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     pub label: String,
@@ -50,143 +51,32 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Analyze `trace` under `opts`.
-    pub fn analyze(
-        label: impl Into<String>,
-        trace: &[FrameRecord],
-        opts: &ReportOptions,
-    ) -> TraceReport {
-        let spec = (!trace.is_empty())
-            .then(|| Periodogram::compute(&binned_bandwidth(trace, opts.bin), opts.bin));
-        Self::analyze_with_spectrum(label, trace, opts, spec.as_ref())
-    }
-
-    /// [`TraceReport::analyze`] with a caller-supplied spectrum of the
-    /// trace's `opts.bin`-binned bandwidth (or `None` for an empty
-    /// trace), for callers that already computed it and don't want the
-    /// binned series walked twice.
-    pub fn analyze_with_spectrum(
-        label: impl Into<String>,
-        trace: &[FrameRecord],
-        opts: &ReportOptions,
-        spec: Option<&Periodogram>,
-    ) -> TraceReport {
-        let span_s = match (trace.first(), trace.last()) {
-            (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
-            _ => 0.0,
-        };
-        let (dominant_hz, flatness) = match spec {
-            None => (None, None),
-            Some(spec) => (spec.dominant_frequency(opts.min_hz), Some(spec.flatness())),
-        };
-        TraceReport {
-            label: label.into(),
-            frames: trace.len(),
-            span_s,
-            sizes: Stats::packet_sizes(trace),
-            interarrivals_ms: Stats::interarrivals_ms(trace),
-            avg_bandwidth: average_bandwidth(trace),
-            bursts: BurstProfile::of(trace, opts.burst_gap),
-            dominant_hz,
-            flatness,
-        }
-    }
-
-    /// Analyze a columnar [`TraceView`] under `opts`.
+    /// Analyze a columnar [`TraceView`] under `opts`: the view's frames
+    /// folded through one [`StreamingReport`], the periodogram computed
+    /// from the binned series the fold collected.
     ///
-    /// Where [`TraceReport::analyze`] walks the record slice once per
-    /// derived quantity, this computes sizes, interarrivals, span, byte
-    /// total, lifetime bandwidth, and the burst segmentation in **one**
-    /// fused pass over the columns, then makes a second pass for the
-    /// binned series feeding the periodogram. The arithmetic matches the
-    /// legacy path operation for operation, so the resulting report is
-    /// bitwise-identical to `analyze` on the same frames.
+    /// The view must be time-ordered (every capture is, and so is every
+    /// connection or tenant view of one); a view with a frame earlier
+    /// than its predecessor panics with "time-ordered".
     pub fn analyze_view(
         label: impl Into<String>,
         view: TraceView<'_>,
         opts: &ReportOptions,
     ) -> TraceReport {
-        let spec = (!view.is_empty())
-            .then(|| Periodogram::compute(&view.binned_bandwidth(opts.bin), opts.bin));
-        Self::analyze_view_with_spectrum(label, view, opts, spec.as_ref())
+        fold(label, view, opts).finish()
     }
 
-    /// [`TraceReport::analyze_view`] with a caller-supplied spectrum —
-    /// the columnar twin of [`TraceReport::analyze_with_spectrum`].
+    /// [`TraceReport::analyze_view`] with a caller-supplied spectrum of
+    /// the view's `opts.bin`-binned bandwidth (or `None` for an empty
+    /// view), for callers that already computed it. The same
+    /// time-order precondition applies.
     pub fn analyze_view_with_spectrum(
         label: impl Into<String>,
         view: TraceView<'_>,
         opts: &ReportOptions,
         spec: Option<&Periodogram>,
     ) -> TraceReport {
-        let n = view.len();
-        let mut sizes = Welford::new();
-        let mut inter = Welford::new();
-        let mut bursts: Vec<Burst> = Vec::new();
-        let mut t_min = u64::MAX;
-        let mut t_max = 0u64;
-        let mut bytes = 0u64;
-        let mut first = 0u64;
-        let mut last = 0u64;
-        let mut prev: Option<u64> = None;
-        for (pos, r) in view.iter().enumerate() {
-            let t = r.time.as_nanos();
-            if pos == 0 {
-                first = t;
-            }
-            last = t;
-            t_min = t_min.min(t);
-            t_max = t_max.max(t);
-            bytes += u64::from(r.wire_len);
-            sizes.push(f64::from(r.wire_len));
-            if let Some(p) = prev {
-                inter.push((r.time - SimTime::from_nanos(p)).as_millis_f64());
-            }
-            prev = Some(t);
-            match bursts.last_mut() {
-                Some(b) if r.time.saturating_sub(b.end) <= opts.burst_gap => {
-                    b.end = r.time;
-                    b.bytes += u64::from(r.wire_len);
-                    b.packets += 1;
-                }
-                _ => bursts.push(Burst {
-                    start: r.time,
-                    end: r.time,
-                    bytes: u64::from(r.wire_len),
-                    packets: 1,
-                }),
-            }
-        }
-        let span_s = if n == 0 {
-            0.0
-        } else {
-            (SimTime::from_nanos(last) - SimTime::from_nanos(first)).as_secs_f64()
-        };
-        let avg_bandwidth = if n == 0 {
-            None
-        } else {
-            let span = (SimTime::from_nanos(t_max) - SimTime::from_nanos(t_min)).as_secs_f64();
-            if span <= 0.0 {
-                None
-            } else {
-                Some(bytes as f64 / span)
-            }
-        };
-        let (dominant_hz, flatness) = match spec {
-            None => (None, None),
-            Some(spec) => (spec.dominant_frequency(opts.min_hz), Some(spec.flatness())),
-        };
-        TraceReport {
-            label: label.into(),
-            frames: n,
-            span_s,
-            sizes: sizes.finish(),
-            interarrivals_ms: if n < 2 { None } else { inter.finish() },
-            avg_bandwidth,
-            bursts: BurstProfile::of_bursts(bursts),
-            dominant_hz,
-            flatness,
-        }
+        fold(label, view, opts).finish_with_spectrum(spec)
     }
 
     /// One markdown table row:
@@ -229,21 +119,14 @@ impl TraceReport {
     }
 }
 
-/// Render a full markdown table for several labelled traces.
-pub fn markdown_table<'a>(
-    rows: impl IntoIterator<Item = (&'a str, &'a [FrameRecord])>,
-    opts: &ReportOptions,
-) -> String {
-    let mut out = TraceReport::markdown_header();
-    for (label, trace) in rows {
-        let r = TraceReport::analyze(label, trace, opts);
-        write!(out, "\n{}", r.markdown_row()).expect("string write");
-    }
-    out
+/// Fold `view` into a fresh [`StreamingReport`].
+fn fold(label: impl Into<String>, view: TraceView<'_>, opts: &ReportOptions) -> StreamingReport {
+    let mut fold = StreamingReport::new(label, opts);
+    view.fold_into(&mut fold);
+    fold
 }
 
-/// Render a full markdown table for several labelled columnar views —
-/// byte-identical to [`markdown_table`] over the same frames.
+/// Render a full markdown table for several labelled columnar views.
 pub fn markdown_table_views<'a>(
     rows: impl IntoIterator<Item = (&'a str, TraceView<'a>)>,
     opts: &ReportOptions,
@@ -257,17 +140,74 @@ pub fn markdown_table_views<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use fxnet_sim::{Frame, FrameKind, HostId};
+    use crate::bandwidth::{average_bandwidth, binned_bandwidth};
+    use crate::TraceStore;
+    use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId};
+
+    /// The report composed from the per-quantity slice kernels — the
+    /// oracle every fold test compares against bit for bit.
+    pub(crate) fn oracle_report(
+        label: &str,
+        trace: &[FrameRecord],
+        opts: &ReportOptions,
+    ) -> TraceReport {
+        let spec = (!trace.is_empty())
+            .then(|| Periodogram::compute(&binned_bandwidth(trace, opts.bin), opts.bin));
+        TraceReport {
+            label: label.to_string(),
+            frames: trace.len(),
+            span_s: match (trace.first(), trace.last()) {
+                (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
+                _ => 0.0,
+            },
+            sizes: Stats::packet_sizes(trace),
+            interarrivals_ms: Stats::interarrivals_ms(trace),
+            avg_bandwidth: average_bandwidth(trace),
+            bursts: BurstProfile::of(trace, opts.burst_gap),
+            dominant_hz: spec
+                .as_ref()
+                .and_then(|p| p.dominant_frequency(opts.min_hz)),
+            flatness: spec.as_ref().map(Periodogram::flatness),
+        }
+    }
+
+    pub(crate) fn assert_reports_bitwise_equal(a: &TraceReport, b: &TraceReport) {
+        assert_eq!(a.label, b.label);
+        assert_eq!(a.frames, b.frames);
+        assert_eq!(a.span_s.to_bits(), b.span_s.to_bits());
+        assert_eq!(a.sizes, b.sizes);
+        assert_eq!(a.interarrivals_ms, b.interarrivals_ms);
+        assert_eq!(
+            a.avg_bandwidth.map(f64::to_bits),
+            b.avg_bandwidth.map(f64::to_bits)
+        );
+        assert_eq!(
+            a.bursts.as_ref().map(|p| (p.count, p.sizes, p.intervals)),
+            b.bursts.as_ref().map(|p| (p.count, p.sizes, p.intervals))
+        );
+        assert_eq!(
+            a.dominant_hz.map(f64::to_bits),
+            b.dominant_hz.map(f64::to_bits)
+        );
+        assert_eq!(a.flatness.map(f64::to_bits), b.flatness.map(f64::to_bits));
+        assert_eq!(a.markdown_row(), b.markdown_row());
+    }
 
     /// 2 Hz burst train: 20-frame bursts spanning 190 ms every 500 ms
-    /// (wide bursts so the fundamental dominates the harmonics).
+    /// (wide bursts so the fundamental dominates the harmonics), with
+    /// ACKs flowing back on the reverse connection.
     fn burst_trace() -> Vec<FrameRecord> {
         let mut tr = Vec::new();
         for b in 0..10u64 {
             for i in 0..20u64 {
-                let f = Frame::tcp(HostId(0), HostId(1), FrameKind::Data, 1460, i);
+                let (src, dst, kind, len) = if i % 4 == 3 {
+                    (1, 0, FrameKind::Ack, 0)
+                } else {
+                    (0, 1 + (b % 2) as u32 * 2, FrameKind::Data, 1460)
+                };
+                let f = Frame::tcp(HostId(src), HostId(dst), kind, len, i);
                 tr.push(FrameRecord::capture(
                     SimTime::from_millis(b * 500 + i * 10),
                     &f,
@@ -279,8 +219,8 @@ mod tests {
 
     #[test]
     fn analyze_fills_every_field() {
-        let tr = burst_trace();
-        let r = TraceReport::analyze("demo", &tr, &ReportOptions::default());
+        let store = TraceStore::from_records(&burst_trace());
+        let r = TraceReport::analyze_view("demo", store.view(), &ReportOptions::default());
         assert_eq!(r.frames, 200);
         assert!(r.span_s > 4.0);
         assert_eq!(r.sizes.unwrap().max, 1518.0);
@@ -297,7 +237,8 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_dashes() {
-        let r = TraceReport::analyze("empty", &[], &ReportOptions::default());
+        let empty = TraceStore::from_records(&[]);
+        let r = TraceReport::analyze_view("empty", empty.view(), &ReportOptions::default());
         let row = r.markdown_row();
         assert!(
             row.contains("| empty | 0 | 0.0 | - | - | - | - | - |"),
@@ -306,44 +247,61 @@ mod tests {
     }
 
     #[test]
-    fn analyze_view_is_bitwise_identical_to_analyze() {
-        let tr = burst_trace();
-        let store = crate::TraceStore::from_records(&tr);
+    fn analyze_view_matches_the_slice_oracle() {
         let opts = ReportOptions::default();
-        let a = TraceReport::analyze("demo", &tr, &opts);
-        let v = TraceReport::analyze_view("demo", store.view(), &opts);
-        assert_eq!(a.frames, v.frames);
-        assert_eq!(a.span_s.to_bits(), v.span_s.to_bits());
-        assert_eq!(a.sizes, v.sizes);
-        assert_eq!(a.interarrivals_ms, v.interarrivals_ms);
-        assert_eq!(
-            a.avg_bandwidth.map(f64::to_bits),
-            v.avg_bandwidth.map(f64::to_bits)
-        );
-        assert_eq!(
-            a.dominant_hz.map(f64::to_bits),
-            v.dominant_hz.map(f64::to_bits)
-        );
-        assert_eq!(a.flatness.map(f64::to_bits), v.flatness.map(f64::to_bits));
-        assert_eq!(a.markdown_row(), v.markdown_row());
-        // And the table renderers agree end to end.
-        assert_eq!(
-            markdown_table([("t", tr.as_slice())], &opts),
-            markdown_table_views([("t", store.view())], &opts)
-        );
-        // Empty traces agree too.
-        let empty = crate::TraceStore::from_records(&[]);
-        assert_eq!(
-            TraceReport::analyze("e", &[], &opts).markdown_row(),
-            TraceReport::analyze_view("e", empty.view(), &opts).markdown_row()
-        );
+        let frame = |t_ms: u64, len: u32| {
+            let f = Frame::tcp(HostId(0), HostId(1), FrameKind::Data, len, 0);
+            FrameRecord::capture(SimTime::from_millis(t_ms), &f)
+        };
+        for tr in [
+            burst_trace(),
+            Vec::new(),
+            vec![frame(5, 1460)],
+            vec![frame(7, 100), frame(7, 200)],
+        ] {
+            let store = TraceStore::from_records(&tr);
+            let want = oracle_report("t", &tr, &opts);
+            let got = TraceReport::analyze_view("t", store.view(), &opts);
+            assert_reports_bitwise_equal(&got, &want);
+            // The caller-supplied spectrum finishes to the same bits.
+            let spec = (!tr.is_empty())
+                .then(|| Periodogram::compute(&binned_bandwidth(&tr, opts.bin), opts.bin));
+            let with_spec =
+                TraceReport::analyze_view_with_spectrum("t", store.view(), &opts, spec.as_ref());
+            assert_reports_bitwise_equal(&with_spec, &want);
+        }
+    }
+
+    #[test]
+    fn connection_views_match_the_slice_oracle() {
+        let tr = burst_trace();
+        let store = TraceStore::from_records(&tr);
+        let opts = ReportOptions::default();
+        let pairs = store.host_pairs();
+        assert_eq!(pairs.len(), 3);
+        for ((s, d), _) in pairs {
+            let view = store.connection(s, d);
+            let label = format!("{}->{}", s.0, d.0);
+            let want = oracle_report(&label, &view.to_records(), &opts);
+            let got = TraceReport::analyze_view(label, view, &opts);
+            assert_reports_bitwise_equal(&got, &want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "time-ordered")]
+    fn out_of_order_view_is_rejected() {
+        let mut tr = burst_trace();
+        tr.swap(3, 40);
+        let store = TraceStore::from_records(&tr);
+        TraceReport::analyze_view("x", store.view(), &ReportOptions::default());
     }
 
     #[test]
     fn markdown_table_has_header_and_rows() {
-        let tr = burst_trace();
-        let table = markdown_table(
-            [("a", tr.as_slice()), ("b", tr.as_slice())],
+        let store = TraceStore::from_records(&burst_trace());
+        let table = markdown_table_views(
+            [("a", store.view()), ("b", store.view())],
             &ReportOptions::default(),
         );
         let lines: Vec<&str> = table.lines().collect();

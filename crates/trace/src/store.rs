@@ -27,10 +27,13 @@
 //! re-counting frames.
 //!
 //! [`TraceView`] is the unit of analysis: either all rows or an indexed
-//! subset (a connection, a demuxed tenant). Its kernels are single fused
-//! passes over the columns and share their arithmetic cores with the
-//! legacy slice kernels, so both paths produce bitwise-identical
-//! results — the property the bench harness asserts byte for byte.
+//! subset (a connection, a demuxed tenant). Its per-quantity kernels are
+//! single passes over the columns and share their arithmetic cores with
+//! the slice kernels, so both produce bitwise-identical results. The
+//! report is not one of them: [`crate::TraceReport::analyze_view`] feeds
+//! the view's time and size columns to the one report fold,
+//! [`crate::StreamingReport`] — a whole-store view as one chunk, a
+//! subset view row by row.
 //!
 //! `Vec<FrameRecord>` remains the compatibility edge:
 //! [`TraceStore::from_records`] / [`TraceStore::to_records`] and the
@@ -43,6 +46,7 @@ use crate::bandwidth::{average_from, binned_from};
 use crate::bursts::{bursts_from, Burst, BurstProfile};
 use crate::stats::{Stats, Welford};
 use crate::stream::SlidingBandwidth;
+use crate::streaming::StreamingReport;
 use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
 use std::collections::BTreeMap;
 
@@ -407,6 +411,20 @@ impl<'a> TraceView<'a> {
     fn samples(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.row_ids()
             .map(move |i| (self.store.time_ns[i], self.store.wire_len[i]))
+    }
+
+    /// Fold the view's `(time_ns, wire_len)` samples into `fold`: a
+    /// whole-store view as one chunk of its two columns, a subset view
+    /// row by row.
+    pub(crate) fn fold_into(&self, fold: &mut StreamingReport) {
+        match self.rows {
+            Rows::All => fold.push_chunk(&self.store.time_ns, &self.store.wire_len),
+            Rows::Idx(_) => {
+                for (t, len) in self.samples() {
+                    fold.push(t, len);
+                }
+            }
+        }
     }
 
     /// Reassemble the view's `pos`-th frame.

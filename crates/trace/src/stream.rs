@@ -6,8 +6,9 @@
 //! functions are thin wrappers over the incremental structures here:
 //! [`SlidingBandwidth`] is the ring behind `sliding_window_bandwidth`,
 //! and [`StreamBinner`] reproduces `binned_bandwidth` bin for bin on any
-//! time-ordered stream. Window semantics live in exactly one place —
-//! there is no batch/streaming edge-case drift to fix twice.
+//! time-ordered stream; it is also the binning of the report fold,
+//! [`crate::StreamingReport`]. Window semantics live in exactly one
+//! place — there is no batch/streaming edge-case drift to fix twice.
 
 use fxnet_sim::SimTime;
 use std::collections::VecDeque;
@@ -113,11 +114,15 @@ impl StreamBinner {
         let t0 = *self.t0.get_or_insert(time);
         let idx = (time - t0).as_nanos() / self.bin_ns;
         assert!(idx >= self.cur_idx, "frames must arrive in time order");
-        while self.cur_idx < idx {
+        if idx > self.cur_idx {
+            // Close the current bin, then every empty bin up to the
+            // frame's (0 bytes is exactly 0.0 bytes/second).
             self.pending.push_back(self.cur_bytes as f64 / self.bin_s);
-            self.closed += 1;
+            let empty = (idx - self.cur_idx - 1) as usize;
+            self.pending.extend(std::iter::repeat_n(0.0, empty));
+            self.closed += idx - self.cur_idx;
             self.cur_bytes = 0;
-            self.cur_idx += 1;
+            self.cur_idx = idx;
         }
         self.cur_bytes += u64::from(wire_len);
     }
@@ -139,7 +144,7 @@ impl StreamBinner {
         if self.t0.is_some() {
             self.pending.push_back(self.cur_bytes as f64 / self.bin_s);
         }
-        self.pending.into_iter().collect()
+        self.pending.into()
     }
 }
 

@@ -1,29 +1,29 @@
-//! Out-of-core report folding: the chunk-at-a-time twin of
-//! [`TraceReport::analyze_view`].
+//! The report fold: the one implementation of [`TraceReport`].
 //!
 //! [`StreamingReport`] accepts `(time_ns, wire_len)` columns in capture
-//! order — whole chunks from a [`crate::ChunkCursor`], or single frames
-//! — and folds the same fused kernels the materialized path runs:
-//! Welford size/interarrival statistics, the lifetime byte/span totals,
-//! inline burst segmentation, and the anchored static binning that
-//! feeds the periodogram. Every operation is executed in the same
-//! order, on the same `f64` values, as `analyze_view` on a fully
-//! materialized store, so the finished [`TraceReport`] is
-//! **bitwise-identical** — the property the `analysis-scale` bench leg
-//! asserts at ten million frames.
+//! order — whole chunks from a [`crate::ChunkCursor`], a whole store's
+//! columns as one chunk, or single frames — and folds every quantity of
+//! the paper's per-program row in one pass: Welford size/interarrival
+//! statistics, the lifetime byte/span totals, inline burst segmentation,
+//! and the anchored static binning that feeds the periodogram (through
+//! the same [`StreamBinner`] the live watcher bins with).
+//! [`TraceReport::analyze_view`] is this fold over a view, so an
+//! out-of-core scan and an in-memory analysis run the same code, and
+//! any chunking of a trace folds to the same bits — the property the
+//! `analysis-scale` bench leg asserts at ten million frames.
 //!
 //! Peak state is O(output), not O(trace): the accumulator holds the
-//! running scalars, one `u64` per bandwidth bin, and one entry per
+//! running scalars, one value per bandwidth bin, and one entry per
 //! detected burst. No per-frame data survives the push.
 
 use crate::bursts::{Burst, BurstProfile};
 use crate::report::{ReportOptions, TraceReport};
 use crate::spectrum::Periodogram;
 use crate::stats::Welford;
-use crate::stream::SlidingBandwidth;
+use crate::stream::{SlidingBandwidth, StreamBinner};
 use fxnet_sim::SimTime;
 
-/// Cross-chunk fold of [`TraceReport::analyze_view`]'s fused pass.
+/// One-pass fold of a time-ordered trace into a [`TraceReport`].
 #[derive(Debug, Clone)]
 pub struct StreamingReport {
     label: String,
@@ -32,20 +32,15 @@ pub struct StreamingReport {
     sizes: Welford,
     inter: Welford,
     bursts: Vec<Burst>,
-    t_min: u64,
-    t_max: u64,
     bytes: u64,
     first: u64,
-    last: u64,
     prev: Option<u64>,
-    bin_anchor: Option<u64>,
-    bin_bytes: Vec<u64>,
+    binner: StreamBinner,
 }
 
 impl StreamingReport {
     /// Start an empty fold for a trace labelled `label`.
     pub fn new(label: impl Into<String>, opts: &ReportOptions) -> StreamingReport {
-        assert!(opts.bin.as_nanos() > 0);
         StreamingReport {
             label: label.into(),
             opts: opts.clone(),
@@ -53,14 +48,10 @@ impl StreamingReport {
             sizes: Welford::new(),
             inter: Welford::new(),
             bursts: Vec::new(),
-            t_min: u64::MAX,
-            t_max: 0,
             bytes: 0,
             first: 0,
-            last: 0,
             prev: None,
-            bin_anchor: None,
-            bin_bytes: Vec::new(),
+            binner: StreamBinner::new(opts.bin),
         }
     }
 
@@ -70,29 +61,24 @@ impl StreamingReport {
     }
 
     /// Fold one frame. Frames must arrive in non-decreasing time order
-    /// (the capture invariant every simulator trace satisfies); the
-    /// single-pass binning below depends on it.
+    /// (the capture invariant every simulator trace satisfies); a frame
+    /// earlier than its predecessor panics with "time-ordered".
     pub fn push(&mut self, time_ns: u64, wire_len: u32) {
-        if let Some(p) = self.prev {
-            assert!(
-                time_ns >= p,
-                "StreamingReport requires time-ordered frames ({time_ns} after {p})"
-            );
-        }
         let t = time_ns;
-        if self.n == 0 {
-            self.first = t;
-        }
-        self.last = t;
-        self.t_min = self.t_min.min(t);
-        self.t_max = self.t_max.max(t);
-        self.bytes += u64::from(wire_len);
-        self.sizes.push(f64::from(wire_len));
-        if let Some(p) = self.prev {
-            self.inter
-                .push((SimTime::from_nanos(t) - SimTime::from_nanos(p)).as_millis_f64());
+        match self.prev {
+            None => self.first = t,
+            Some(p) => {
+                assert!(
+                    t >= p,
+                    "StreamingReport requires time-ordered frames ({t} after {p})"
+                );
+                self.inter
+                    .push((SimTime::from_nanos(t) - SimTime::from_nanos(p)).as_millis_f64());
+            }
         }
         self.prev = Some(t);
+        self.bytes += u64::from(wire_len);
+        self.sizes.push(f64::from(wire_len));
         let time = SimTime::from_nanos(t);
         match self.bursts.last_mut() {
             Some(b) if time.saturating_sub(b.end) <= self.opts.burst_gap => {
@@ -107,24 +93,11 @@ impl StreamingReport {
                 packets: 1,
             }),
         }
-        let bin_ns = self.opts.bin.as_nanos();
-        match self.bin_anchor {
-            None => {
-                self.bin_anchor = Some(t);
-                self.bin_bytes.push(u64::from(wire_len));
-            }
-            Some(anchor) => {
-                let idx = ((t - anchor) / bin_ns) as usize;
-                if idx >= self.bin_bytes.len() {
-                    self.bin_bytes.resize(idx + 1, 0);
-                }
-                self.bin_bytes[idx] += u64::from(wire_len);
-            }
-        }
+        self.binner.push(time, wire_len);
         self.n += 1;
     }
 
-    /// Fold one decoded chunk of columns.
+    /// Fold one chunk of columns.
     pub fn push_chunk(&mut self, time_ns: &[u64], wire_len: &[u32]) {
         assert_eq!(time_ns.len(), wire_len.len());
         for (&t, &len) in time_ns.iter().zip(wire_len) {
@@ -133,46 +106,42 @@ impl StreamingReport {
     }
 
     /// Finish the fold, returning the report and the `opts.bin`-binned
-    /// bandwidth series it was derived from (bytes/second per bin) —
-    /// identical to `view.binned_bandwidth(opts.bin)` on the same
-    /// frames, so downstream spectral consumers need no second pass.
-    pub fn finish_with_series(self) -> (TraceReport, Vec<f64>) {
+    /// bandwidth series its periodogram was computed from (bytes/second
+    /// per bin) — identical to `view.binned_bandwidth(opts.bin)` on the
+    /// same frames, so downstream spectral consumers need no second pass.
+    pub fn finish_with_series(mut self) -> (TraceReport, Vec<f64>) {
+        let series = std::mem::replace(&mut self.binner, StreamBinner::new(self.opts.bin)).finish();
+        let spec = (self.n != 0).then(|| Periodogram::compute(&series, self.opts.bin));
+        (self.finish_with_spectrum(spec.as_ref()), series)
+    }
+
+    /// Finish the fold, returning just the report.
+    pub fn finish(self) -> TraceReport {
+        self.finish_with_series().0
+    }
+
+    /// Finish the fold with a caller-supplied spectrum of the trace's
+    /// binned bandwidth (`None` for an empty trace) instead of
+    /// computing one.
+    pub(crate) fn finish_with_spectrum(self, spec: Option<&Periodogram>) -> TraceReport {
         let n = self.n;
-        let span_s = if n == 0 {
-            0.0
-        } else {
-            (SimTime::from_nanos(self.last) - SimTime::from_nanos(self.first)).as_secs_f64()
-        };
-        let avg_bandwidth = if n == 0 {
-            None
-        } else {
-            let span =
-                (SimTime::from_nanos(self.t_max) - SimTime::from_nanos(self.t_min)).as_secs_f64();
-            if span <= 0.0 {
-                None
-            } else {
-                Some(self.bytes as f64 / span)
+        // Time order makes the first and last frames the trace's
+        // earliest and latest.
+        let span_s = match self.prev {
+            None => 0.0,
+            Some(last) => {
+                (SimTime::from_nanos(last) - SimTime::from_nanos(self.first)).as_secs_f64()
             }
         };
-        let series: Vec<f64> = if n == 0 {
-            Vec::new()
-        } else {
-            let bin_ns = self.opts.bin.as_nanos();
-            let nbins = ((self.t_max - self.t_min) / bin_ns + 1) as usize;
-            let mut bin_bytes = self.bin_bytes;
-            bin_bytes.resize(nbins, 0);
-            let bin_s = self.opts.bin.as_secs_f64();
-            bin_bytes.into_iter().map(|b| b as f64 / bin_s).collect()
-        };
-        let spec = (n != 0).then(|| Periodogram::compute(&series, self.opts.bin));
-        let (dominant_hz, flatness) = match &spec {
+        let avg_bandwidth = (span_s > 0.0).then(|| self.bytes as f64 / span_s);
+        let (dominant_hz, flatness) = match spec {
             None => (None, None),
             Some(spec) => (
                 spec.dominant_frequency(self.opts.min_hz),
                 Some(spec.flatness()),
             ),
         };
-        let report = TraceReport {
+        TraceReport {
             label: self.label,
             frames: n,
             span_s,
@@ -182,13 +151,7 @@ impl StreamingReport {
             bursts: BurstProfile::of_bursts(self.bursts),
             dominant_hz,
             flatness,
-        };
-        (report, series)
-    }
-
-    /// Finish the fold, returning just the report.
-    pub fn finish(self) -> TraceReport {
-        self.finish_with_series().0
+        }
     }
 }
 
@@ -230,8 +193,9 @@ impl SlidingPeak {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::sliding_window_bandwidth;
+    use crate::bandwidth::{binned_bandwidth, sliding_window_bandwidth};
     use crate::report::markdown_table_views;
+    use crate::report::tests::{assert_reports_bitwise_equal, oracle_report};
     use crate::store::TraceStore;
     use fxnet_sim::{Frame, FrameKind, FrameRecord, HostId, Proto};
     use proptest::prelude::*;
@@ -259,21 +223,23 @@ mod tests {
             .collect()
     }
 
-    fn assert_reports_bitwise_equal(a: &TraceReport, b: &TraceReport) {
-        assert_eq!(a.frames, b.frames);
-        assert_eq!(a.span_s.to_bits(), b.span_s.to_bits());
-        assert_eq!(a.sizes, b.sizes);
-        assert_eq!(a.interarrivals_ms, b.interarrivals_ms);
-        assert_eq!(
-            a.avg_bandwidth.map(f64::to_bits),
-            b.avg_bandwidth.map(f64::to_bits)
-        );
-        assert_eq!(
-            a.dominant_hz.map(f64::to_bits),
-            b.dominant_hz.map(f64::to_bits)
-        );
-        assert_eq!(a.flatness.map(f64::to_bits), b.flatness.map(f64::to_bits));
-        assert_eq!(a.markdown_row(), b.markdown_row());
+    /// Fold `tr` cut at `bounds` (ascending, from 0 to `tr.len()`).
+    fn fold_chunks(label: &str, tr: &[FrameRecord], bounds: &[usize]) -> StreamingReport {
+        let mut s = StreamingReport::new(label, &ReportOptions::default());
+        for w in bounds.windows(2) {
+            let slice = &tr[w[0]..w[1]];
+            let t: Vec<u64> = slice.iter().map(|r| r.time.as_nanos()).collect();
+            let wl: Vec<u32> = slice.iter().map(|r| r.wire_len).collect();
+            s.push_chunk(&t, &wl);
+        }
+        s
+    }
+
+    fn assert_series_bitwise_equal(a: &[f64], b: &[f64]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 
     #[test]
@@ -281,23 +247,15 @@ mod tests {
         let tr = burst_trace(500);
         let store = TraceStore::from_records(&tr);
         let opts = ReportOptions::default();
-        let materialized = TraceReport::analyze_view("demo", store.view(), &opts);
+        let oracle = oracle_report("demo", &tr, &opts);
 
         for chunk in [1usize, 7, 100, 500, 1000] {
-            let mut s = StreamingReport::new("demo", &opts);
-            for slice in tr.chunks(chunk) {
-                let t: Vec<u64> = slice.iter().map(|r| r.time.as_nanos()).collect();
-                let w: Vec<u32> = slice.iter().map(|r| r.wire_len).collect();
-                s.push_chunk(&t, &w);
-            }
+            let bounds: Vec<usize> = (0..tr.len()).step_by(chunk).chain([tr.len()]).collect();
+            let s = fold_chunks("demo", &tr, &bounds);
             assert_eq!(s.frames(), 500);
             let (streamed, series) = s.finish_with_series();
-            assert_reports_bitwise_equal(&streamed, &materialized);
-            let want = store.view().binned_bandwidth(opts.bin);
-            assert_eq!(series.len(), want.len(), "chunk={chunk}");
-            for (a, b) in series.iter().zip(&want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "chunk={chunk}");
-            }
+            assert_reports_bitwise_equal(&streamed, &oracle);
+            assert_series_bitwise_equal(&series, &binned_bandwidth(&tr, opts.bin));
             // The rendered table row is what the bench artifacts diff.
             assert_eq!(
                 format!(
@@ -315,8 +273,11 @@ mod tests {
         let opts = ReportOptions::default();
         let empty = TraceStore::from_records(&[]);
         let (streamed, series) = StreamingReport::new("e", &opts).finish_with_series();
-        let materialized = TraceReport::analyze_view("e", empty.view(), &opts);
-        assert_reports_bitwise_equal(&streamed, &materialized);
+        assert_reports_bitwise_equal(
+            &streamed,
+            &TraceReport::analyze_view("e", empty.view(), &opts),
+        );
+        assert_reports_bitwise_equal(&streamed, &oracle_report("e", &[], &opts));
         assert!(series.is_empty());
     }
 
@@ -343,9 +304,9 @@ mod tests {
     }
 
     proptest! {
-        /// The satellite-task property: any chunking — 1-frame chunks,
-        /// one whole-trace chunk, anything between — folds to the exact
-        /// bits of the materialized report.
+        /// Any chunking — 1-frame chunks, one whole-trace chunk,
+        /// anything between — folds to the exact bits of the slice
+        /// oracle, and so does the whole-store view.
         #[test]
         fn any_chunking_is_bitwise_identical(
             times in prop::collection::vec(0u64..5_000_000_000u64, 0..120),
@@ -366,46 +327,22 @@ mod tests {
                     dst: HostId((t % 3) as u32),
                 })
                 .collect();
-            let store = TraceStore::from_records(&tr);
             let opts = ReportOptions::default();
-            let materialized = TraceReport::analyze_view("p", store.view(), &opts);
+            let oracle = oracle_report("p", &tr, &opts);
+            let store = TraceStore::from_records(&tr);
+            assert_reports_bitwise_equal(
+                &TraceReport::analyze_view("p", store.view(), &opts),
+                &oracle,
+            );
 
             let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (tr.len() + 1)).collect();
             bounds.push(0);
             bounds.push(tr.len());
             bounds.sort_unstable();
             bounds.dedup();
-
-            let mut s = StreamingReport::new("p", &opts);
-            for w in bounds.windows(2) {
-                let slice = &tr[w[0]..w[1]];
-                let t: Vec<u64> = slice.iter().map(|r| r.time.as_nanos()).collect();
-                let wl: Vec<u32> = slice.iter().map(|r| r.wire_len).collect();
-                s.push_chunk(&t, &wl);
-            }
-            let (streamed, series) = s.finish_with_series();
-            prop_assert_eq!(streamed.frames, materialized.frames);
-            prop_assert_eq!(streamed.span_s.to_bits(), materialized.span_s.to_bits());
-            prop_assert_eq!(&streamed.sizes, &materialized.sizes);
-            prop_assert_eq!(&streamed.interarrivals_ms, &materialized.interarrivals_ms);
-            prop_assert_eq!(
-                streamed.avg_bandwidth.map(f64::to_bits),
-                materialized.avg_bandwidth.map(f64::to_bits)
-            );
-            prop_assert_eq!(
-                streamed.dominant_hz.map(f64::to_bits),
-                materialized.dominant_hz.map(f64::to_bits)
-            );
-            prop_assert_eq!(
-                streamed.flatness.map(f64::to_bits),
-                materialized.flatness.map(f64::to_bits)
-            );
-            prop_assert_eq!(streamed.markdown_row(), materialized.markdown_row());
-            let want = store.view().binned_bandwidth(opts.bin);
-            prop_assert_eq!(series.len(), want.len());
-            for (a, b) in series.iter().zip(&want) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+            let (streamed, series) = fold_chunks("p", &tr, &bounds).finish_with_series();
+            assert_reports_bitwise_equal(&streamed, &oracle);
+            assert_series_bitwise_equal(&series, &binned_bandwidth(&tr, opts.bin));
         }
     }
 }

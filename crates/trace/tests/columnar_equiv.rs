@@ -1,16 +1,17 @@
-//! Columnar-vs-legacy equivalence: every analysis kernel must produce
-//! identical results on a [`TraceStore`] view and on the legacy
-//! `Vec<FrameRecord>` path — bitwise for the `f64` outputs, since both
-//! share one arithmetic core. Covers unsorted and single-frame traces,
-//! and the text↔binary round trip.
+//! Columnar-vs-slice equivalence: every analysis kernel must produce
+//! identical results on a [`TraceStore`] view and on the
+//! `Vec<FrameRecord>` slice kernels — bitwise for the `f64` outputs,
+//! since both share one arithmetic core — and the report fold must
+//! equal the report composed from the slice kernels, on whole-store,
+//! connection and tenant views alike. Covers unsorted and single-frame
+//! traces, and the text↔binary round trip.
 
 use fxnet_sim::{FrameKind, FrameRecord, HostId, Proto, SimTime};
 use fxnet_trace::io::{read_store_binary, read_trace, write_store_binary, write_trace};
 use fxnet_trace::{
     average_bandwidth, binned_bandwidth, connection, demux, demux_store, detect_bursts,
-    dominant_modes, host_pairs, markdown_table, markdown_table_views, size_population,
-    sliding_window_bandwidth, BurstProfile, Periodogram, ReportOptions, Stats, TraceReport,
-    TraceStore,
+    dominant_modes, host_pairs, markdown_table_views, size_population, sliding_window_bandwidth,
+    BurstProfile, Periodogram, ReportOptions, Stats, TraceReport, TraceStore, TraceView,
 };
 use proptest::prelude::*;
 
@@ -51,9 +52,65 @@ fn stats_bits(s: Option<Stats>) -> Option<(u64, u64, u64, u64, usize)> {
     })
 }
 
-/// Assert every kernel agrees between the legacy slice path and the
-/// columnar view, bit for bit. `sorted` gates the kernels whose legacy
-/// versions assume capture order (sliding window's ring asserts
+/// The report composed from the per-quantity slice kernels: the oracle
+/// [`TraceReport::analyze_view`] must match bit for bit.
+fn oracle_report(label: &str, tr: &[FrameRecord], opts: &ReportOptions) -> TraceReport {
+    let spec =
+        (!tr.is_empty()).then(|| Periodogram::compute(&binned_bandwidth(tr, opts.bin), opts.bin));
+    TraceReport {
+        label: label.to_string(),
+        frames: tr.len(),
+        span_s: match (tr.first(), tr.last()) {
+            (Some(a), Some(b)) => (b.time - a.time).as_secs_f64(),
+            _ => 0.0,
+        },
+        sizes: Stats::packet_sizes(tr),
+        interarrivals_ms: Stats::interarrivals_ms(tr),
+        avg_bandwidth: average_bandwidth(tr),
+        bursts: BurstProfile::of(tr, opts.burst_gap),
+        dominant_hz: spec
+            .as_ref()
+            .and_then(|p| p.dominant_frequency(opts.min_hz)),
+        flatness: spec.as_ref().map(Periodogram::flatness),
+    }
+}
+
+/// Assert the fold over `view` equals the oracle over its copied frames,
+/// field by field and bit for bit.
+fn assert_report_matches_oracle(view: TraceView<'_>) {
+    let opts = ReportOptions::default();
+    let a = TraceReport::analyze_view("t", view, &opts);
+    let b = oracle_report("t", &view.to_records(), &opts);
+    assert_eq!(a.frames, b.frames);
+    assert_eq!(a.span_s.to_bits(), b.span_s.to_bits());
+    assert_eq!(stats_bits(a.sizes), stats_bits(b.sizes));
+    assert_eq!(
+        stats_bits(a.interarrivals_ms),
+        stats_bits(b.interarrivals_ms)
+    );
+    assert_eq!(
+        a.avg_bandwidth.map(f64::to_bits),
+        b.avg_bandwidth.map(f64::to_bits)
+    );
+    assert_eq!(
+        a.bursts
+            .as_ref()
+            .map(|p| (stats_bits(Some(p.sizes)), stats_bits(p.intervals), p.count)),
+        b.bursts
+            .as_ref()
+            .map(|p| (stats_bits(Some(p.sizes)), stats_bits(p.intervals), p.count))
+    );
+    assert_eq!(
+        a.dominant_hz.map(f64::to_bits),
+        b.dominant_hz.map(f64::to_bits)
+    );
+    assert_eq!(a.flatness.map(f64::to_bits), b.flatness.map(f64::to_bits));
+    assert_eq!(a.markdown_row(), b.markdown_row());
+}
+
+/// Assert every kernel agrees between the slice kernels and the
+/// columnar view, bit for bit. `sorted` gates the kernels that assume
+/// capture order (the sliding window's ring and the report fold assert
 /// monotone time).
 fn assert_kernels_agree(tr: &[FrameRecord], sorted: bool) {
     let store = TraceStore::from_records(tr);
@@ -115,13 +172,24 @@ fn assert_kernels_agree(tr: &[FrameRecord], sorted: bool) {
             v.sliding_window_bandwidth(BIN),
             sliding_window_bandwidth(tr, BIN)
         );
+        assert_report_matches_oracle(v);
+        for &((s, d), _) in &store.host_pairs() {
+            assert_report_matches_oracle(store.connection(s, d));
+        }
+        let map = fxnet_pvm::TenantMap::pack([("A".to_string(), 3), ("B".to_string(), 3)]);
+        let tenants = demux_store(&store, &map);
+        for i in 0..tenants.tenants() {
+            assert_report_matches_oracle(tenants.tenant(i));
+        }
+        assert_report_matches_oracle(tenants.background_view());
         let opts = ReportOptions::default();
-        let a = TraceReport::analyze("t", tr, &opts);
-        let b = TraceReport::analyze_view("t", v, &opts);
-        assert_eq!(a.markdown_row(), b.markdown_row());
         assert_eq!(
-            markdown_table([("t", tr)], &opts),
-            markdown_table_views([("t", v)], &opts)
+            markdown_table_views([("t", v)], &opts),
+            format!(
+                "{}\n{}",
+                TraceReport::markdown_header(),
+                oracle_report("t", tr, &opts).markdown_row()
+            )
         );
     }
 }
@@ -178,6 +246,10 @@ fn demux_agrees_with_legacy_on_interleaved_tenants() {
         );
     }
     assert_eq!(cols.background_view().to_records(), legacy.background);
+    for i in 0..2 {
+        assert_report_matches_oracle(cols.tenant(i));
+    }
+    assert_report_matches_oracle(cols.background_view());
 }
 
 proptest! {
